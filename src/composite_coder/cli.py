@@ -17,7 +17,7 @@ selfcheck          internal identity and closed-form-versus-numeric checks
 Configuration comes from flags or from a key=value file (--config); flags
 win on conflict.  Identical configurations produce byte-identical output:
 metadata carries a canonical parameter string and its hash, never a
-timestamp.  COMPOSITE_CODER_THREADS caps Monte Carlo concurrency.
+timestamp.
 
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
 3 numeric error, 4 simulation budget error.
@@ -587,6 +587,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unexpected positional argument {cfg.experiment!r}")
     if cfg.grid < 2:
         raise ConfigError(f"grid must be >= 2, got {cfg.grid}")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {cfg.seed}")
+    if cfg.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.blocklength is not None and cfg.blocklength < 1:
+        raise ConfigError(f"blocklength must be >= 1, got {cfg.blocklength}")
     if cfg.command == "bss-interface" and not 0.0 <= cfg.p <= 1.0:
         raise ConfigError(f"p must lie in [0, 1], got {cfg.p}")
     if cfg.command == "bss-interface" and "p" not in provided:

@@ -2,10 +2,13 @@
 
 Reproducibility design: every random draw comes from a Philox counter-based
 generator keyed by (seed, trial index, stream id).  Trials therefore share
-no generator state, results are bit-identical regardless of execution order
-or thread count, and re-running with the same TrialConfig reproduces the
-same numbers exactly.  The environment variable COMPOSITE_CODER_THREADS
-caps how many trials run concurrently (default: sequential).
+no generator state, results do not depend on execution order, and re-running
+with the same TrialConfig reproduces the same numbers exactly.
+
+Binary words and codebooks are held bit-packed, 64 symbols to a uint64 word
+(little-endian bit order, zero-padded), so a Hamming distance is a popcount
+of an XOR.  Codebook memory is the packed size: codebooks are drawn and
+packed in fixed blocks of rows, never as one float array of the whole book.
 
 Finite-blocklength caveat: the codebook constructions follow the random
 coding recipes (Bernoulli codebooks, superposition by XOR), but typicality
@@ -19,8 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,10 @@ RADIUS_SLACK_BASE = 0.004
 RADIUS_SLACK_GOOD = 0.03
 
 _MASK64 = 2**64 - 1
+
+# float64 draws per codebook block: bounds the temporaries of a codebook
+# draw to 2 MiB whatever its size
+_BLOCK_DRAWS = 2**18
 
 
 class BudgetError(ValueError):
@@ -85,32 +90,55 @@ class TrialReport:
     seed: int
 
 
-def _generator(seed: int, trial: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one (trial, stream) pair."""
-    key = [seed & _MASK64, ((trial << 32) | stream) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed: int, stream: int) -> Callable[[int], np.random.Generator]:
+    """Generators of one stream: ``at(trial)`` is keyed (seed, trial, stream).
+
+    One Philox is re-keyed per trial instead of built anew: the state set
+    here (the key, counter 0, empty buffer) is exactly the state
+    ``np.random.Philox(key=...)`` starts in, so the draws are identical.
+    ``at`` returns the same generator object each time; finish drawing from
+    one trial before asking for the next.  The key is passed as a uint64
+    array: a list holding a seed of 2^63 or more converts through float64.
+    """
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, stream], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+
+    def at(trial: int) -> np.random.Generator:
+        key[1] = ((trial << 32) | stream) & _MASK64
+        bitgen.state = state
+        return rng
+
+    return at
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("COMPOSITE_CODER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bool words along the last axis as little-endian uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8")
 
 
-def _run_trials(trials: int, fn: Callable[[int], float]) -> np.ndarray:
-    """Evaluate fn(trial_index) for every trial, results keyed by index."""
-    out = np.empty(trials, dtype=np.float64)
-    workers = _thread_cap()
-    if workers == 1 or trials < 4:
-        for t in range(trials):
-            out[t] = fn(t)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for t, value in enumerate(pool.map(fn, range(trials))):
-            out[t] = value
-    return out
+def _distances(book: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """Hamming distance from every packed codeword (row) to a packed word."""
+    return np.bitwise_count(book ^ word).sum(axis=1)
+
+
+def _draw_codebook(rng: np.random.Generator, size: int, n: int, p: float) -> np.ndarray:
+    """size Bernoulli(p) words of n bits, packed.
+
+    Blocks of rows are drawn in turn from one generator; ``random`` fills
+    row-major, so the bits equal those of a single (size, n) draw.  Column
+    order makes the distance kernel sum contiguous word columns.
+    """
+    book = np.empty((size, -(-n // 64)), dtype=np.uint64, order="F")
+    rows = max(1, _BLOCK_DRAWS // n)
+    for lo in range(0, size, rows):
+        hi = min(size, lo + rows)
+        book[lo:hi] = _pack(rng.random((hi - lo, n)) < p)
+    return book
 
 
 def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
@@ -127,14 +155,14 @@ def simulate_uncoded_bsc(cfg: TrialConfig, alpha: float) -> TrialReport:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {alpha}")
     n = cfg.blocklength
+    streams = _stream(cfg.seed, 0)
 
     def one(t: int) -> float:
-        rng = _generator(cfg.seed, t + 1, 0)
-        source = rng.random(n) < 0.5
-        received = source ^ (rng.random(n) < alpha)
-        return float(np.count_nonzero(source ^ received)) / n
+        rng = streams(t + 1)
+        rng.random(n)  # the source word: received ^ source is the noise word alone
+        return float(np.count_nonzero(rng.random(n) < alpha)) / n
 
-    return _report(_run_trials(cfg.trials, one), cfg)
+    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
 
 
 def simulate_uncoded_gaussian(cfg: TrialConfig, sys: RayleighSystem, gamma: float) -> TrialReport:
@@ -149,14 +177,15 @@ def simulate_uncoded_gaussian(cfg: TrialConfig, sys: RayleighSystem, gamma: floa
     scale = math.sqrt(sys.power / sys.sigma2)
     snr = sys.power * gamma
     mmse_gain = math.sqrt(gamma) * scale * sys.sigma2 / (1.0 + snr)
+    streams = _stream(cfg.seed, 0)
 
     def one(t: int) -> float:
-        rng = _generator(cfg.seed, t + 1, 0)
+        rng = streams(t + 1)
         v = rng.standard_normal(n) * math.sqrt(sys.sigma2)
         y = math.sqrt(gamma) * scale * v + rng.standard_normal(n)
         return float(np.mean((v - mmse_gain * y) ** 2))
 
-    return _report(_run_trials(cfg.trials, one), cfg)
+    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
 
 
 def _codebook_size(rate: float, n: int) -> int:
@@ -169,9 +198,12 @@ def _codebook_size(rate: float, n: int) -> int:
     return int(math.ceil(2.0 ** (rate * n)))
 
 
-def _exhaustive_codebook(n: int) -> np.ndarray:
-    ints = np.arange(2**n, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(bool)
+def _source_codebook(seed: int, size: int, n: int) -> np.ndarray:
+    """Bernoulli(1/2) codebook of stream 0, or all 2^n words once size reaches 2^n."""
+    if size >= 2**n:
+        # n <= log2(CODEBOOK_CAP) here, so every word fits in one uint64
+        return np.arange(2**n, dtype=np.uint64)[:, None]
+    return _draw_codebook(_stream(seed, 0)(0), size, n, 0.5)
 
 
 def simulate_random_quantizer(cfg: TrialConfig, rate: float) -> TrialReport:
@@ -182,19 +214,14 @@ def simulate_random_quantizer(cfg: TrialConfig, rate: float) -> TrialReport:
     is then a codeword, matching the lossless regime exactly).
     """
     n = cfg.blocklength
-    size = _codebook_size(rate, n)
-    if size >= 2**n:
-        codebook = _exhaustive_codebook(n)
-    else:
-        codebook = _generator(cfg.seed, 0, 0).random((size, n)) < 0.5
+    codebook = _source_codebook(cfg.seed, _codebook_size(rate, n), n)
+    streams = _stream(cfg.seed, 1)
 
     def one(t: int) -> float:
-        rng = _generator(cfg.seed, t + 1, 1)
-        source = rng.random(n) < 0.5
-        distances = np.count_nonzero(codebook ^ source, axis=1)
-        return float(distances.min()) / n
+        source = _pack(streams(t + 1).random(n) < 0.5)
+        return float(_distances(codebook, source).min()) / n
 
-    return _report(_run_trials(cfg.trials, one), cfg)
+    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
 
 
 def simulate_msvq(cfg: TrialConfig, r2: float, r1: float) -> tuple[TrialReport, TrialReport]:
@@ -217,19 +244,16 @@ def simulate_msvq(cfg: TrialConfig, r2: float, r1: float) -> tuple[TrialReport, 
         lam = 0.0
     else:
         lam = (d2_target - d1_target) / (1.0 - 2.0 * d1_target)
-    base_book = (
-        _exhaustive_codebook(n) if size2 >= 2**n else _generator(cfg.seed, 0, 0).random((size2, n)) < 0.5
-    )
-    refine_book = _generator(cfg.seed, 0, 1).random((size1, n)) < lam
+    base_book = _source_codebook(cfg.seed, size2, n)
+    refine_book = _draw_codebook(_stream(cfg.seed, 1)(0), size1, n, lam)
+    streams = _stream(cfg.seed, 2)
 
     def one(t: int) -> tuple[float, float]:
-        rng = _generator(cfg.seed, t + 1, 2)
-        source = rng.random(n) < 0.5
-        base_dist = np.count_nonzero(base_book ^ source, axis=1)
+        source = _pack(streams(t + 1).random(n) < 0.5)
+        base_dist = _distances(base_book, source)
         idx = int(base_dist.argmin())
         residue = source ^ base_book[idx]
-        refine_dist = np.count_nonzero(refine_book ^ residue, axis=1)
-        return float(base_dist[idx]) / n, float(refine_dist.min()) / n
+        return float(base_dist[idx]) / n, float(_distances(refine_book, residue).min()) / n
 
     pairs = [one(t) for t in range(cfg.trials)]
     base = np.array([p[0] for p in pairs])
@@ -283,7 +307,9 @@ def simulate_superposition_bc(
     m = cfg.blocklength
     size_u = _codebook_size(rates.r2, m)
     size_q = _codebook_size(rates.r1, m)
-    book_q = _generator(cfg.seed, 0, 1).random((size_q, m)) < beta
+    book_q = _draw_codebook(_stream(cfg.seed, 1)(0), size_q, m, beta)
+    messages = _stream(cfg.seed, 2)
+    base_books = _stream(cfg.seed, 3)
 
     radius_bad = int(math.floor((specfn.binary_convolve(ch.alpha2, beta) + slack_base) * m + 1e-9))
     radius_good = int(math.floor((specfn.binary_convolve(ch.alpha1, beta) + slack_good) * m + 1e-9))
@@ -291,19 +317,19 @@ def simulate_superposition_bc(
     ball_failures = {"bad_u": 0, "good_u": 0, "good_q_tie": 0}
 
     def one(t: int) -> tuple[float, float]:
-        rng = _generator(cfg.seed, t + 1, 2)
-        book_u = _generator(cfg.seed, t + 1, 3).random((size_u, m)) < 0.5
+        rng = messages(t + 1)
+        book_u = _draw_codebook(base_books(t + 1), size_u, m, 0.5)
         w1 = int(rng.integers(size_q))
         w2 = int(rng.integers(size_u))
         x = book_q[w1] ^ book_u[w2]
-        z_good = x ^ (rng.random(m) < ch.alpha1)
-        z_bad = x ^ (rng.random(m) < ch.alpha2)
+        z_good = x ^ _pack(rng.random(m) < ch.alpha1)
+        z_bad = x ^ _pack(rng.random(m) < ch.alpha2)
 
         # bad state: base layer only
         if size_u == 1:
             err_bad = 0.0
         else:
-            got = _unique_in_ball(np.count_nonzero(book_u ^ z_bad, axis=1), radius_bad)
+            got = _unique_in_ball(_distances(book_u, z_bad), radius_bad)
             if got < 0:
                 ball_failures["bad_u"] += 1
             err_bad = 0.0 if got == w2 else 1.0
@@ -312,7 +338,7 @@ def simulate_superposition_bc(
         if size_u == 1:
             w2_hat = 0
         else:
-            w2_hat = _unique_in_ball(np.count_nonzero(book_u ^ z_good, axis=1), radius_good)
+            w2_hat = _unique_in_ball(_distances(book_u, z_good), radius_good)
             if w2_hat < 0:
                 ball_failures["good_u"] += 1
         if w2_hat < 0:
@@ -321,7 +347,7 @@ def simulate_superposition_bc(
             err_good = 0.0 if w2_hat == w2 else 1.0
         else:
             stripped = z_good ^ book_u[w2_hat]
-            dist_q = np.count_nonzero(book_q ^ stripped, axis=1)
+            dist_q = _distances(book_q, stripped)
             nearest = np.flatnonzero(dist_q == dist_q.min())
             if len(nearest) != 1:
                 ball_failures["good_q_tie"] += 1

@@ -105,6 +105,30 @@ class TestConfigHandling:
         code, _, _ = run_cli(["gaussian-compare", "--config", str(config)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
+            ["--trials", "0"],
+            ["--blocklength", "0"],
+            ["--blocklength", "-5"],
+        ],
+    )
+    def test_mc_inputs_out_of_range_rejected(self, flags, capsys):
+        code, out, err = run_cli(["mc", "uncoded-bsc", "--trials", "10", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    def test_mc_seed_range_edges_accepted(self, capsys):
+        for seed in ("0", str(2**64 - 1)):
+            code, _, _ = run_cli(
+                ["mc", "uncoded-bsc", "--trials", "2", "--blocklength", "8", "--seed", seed],
+                capsys,
+            )
+            assert code == 0
+
     def test_budget_error_exit_code(self, capsys):
         code, _, err = run_cli(["mc", "quantizer", "--blocklength", "500"], capsys)
         assert code == 4
