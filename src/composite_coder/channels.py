@@ -85,7 +85,8 @@ class RayleighSystem:
     gamma_bar: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0 or self.power <= 0.0 or self.gamma_bar <= 0.0:
+        # written as "not > 0" so that NaN is rejected too
+        if not (self.sigma2 > 0.0 and self.power > 0.0 and self.gamma_bar > 0.0):
             raise ValueError("sigma2, power and gamma_bar must all be positive")
 
     @property

@@ -576,6 +576,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if grid_text is not None:
         cfg.p_grid = _parse_grid_spec(grid_text)
 
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
+    if not all(math.isfinite(v) for v in cfg.p_grid):
+        raise ConfigError(f"sweep values must be finite, got {grid_text!r}")
+
     if cfg.command == "gaussian-compare" and provided & _BSC_KEYS:
         raise ConfigError("gaussian-compare does not accept BSC parameters")
     if cfg.command.startswith("bss-") and provided & _GAUSSIAN_KEYS:
@@ -593,6 +599,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.blocklength is not None and cfg.blocklength < 1:
         raise ConfigError(f"blocklength must be >= 1, got {cfg.blocklength}")
+    if cfg.command.startswith("bss-") or cfg.experiment == "superposition":
+        if not 0.0 < cfg.alpha1 < cfg.alpha2 < 0.5:
+            raise ConfigError(
+                f"need 0 < alpha1 < alpha2 < 1/2, got ({cfg.alpha1}, {cfg.alpha2})"
+            )
+        if cfg.b < 1.0:
+            raise ConfigError(f"b must be >= 1, got {cfg.b}")
     if cfg.command == "bss-interface" and not 0.0 <= cfg.p <= 1.0:
         raise ConfigError(f"p must lie in [0, 1], got {cfg.p}")
     if cfg.command == "bss-interface" and "p" not in provided:

@@ -9,10 +9,12 @@ Three transmission strategies are evaluated at bandwidth ratio one:
 
 All rates are in nats.  The broadcast quantities I(gamma) (residual
 interference seen at gain gamma) and D(gamma) (normalized distortion-to-go)
-are evaluated by quadrature exactly as defined; tests cross-validate the
-resulting minimum expected distortion against a direct discretized
-optimization of the underlying power-allocation problem, which guards
-against transcription mistakes in the closed forms.
+are defined by integrals over (gamma, gamma_bar]; with x = gamma/gamma_bar
+both integrals reduce to exponential integrals E1(x/2), so I(gamma)*gamma_bar
+and D(gamma) depend on x alone and the power threshold is a root in x that
+depends only on a = power*gamma_bar.  Every broadcast quantity is evaluated
+through these closed forms; tests check them against quadrature of the
+defining integrals and against a high-precision oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ __all__ = [
     "compare_schemes",
 ]
 
-_QUAD_TOL = 1e-12
+_E1_HALF = specfn.exp_integral(0.5)
+_EXP_HALF = math.exp(-0.5)
 
 
 class NoSolutionError(ValueError):
@@ -77,15 +80,14 @@ class PowerProfile:
     ``interference(g)`` is the total power of layers intended for gains above
     g; it is nonincreasing on [gamma_lo, gamma_hi] with
     interference(gamma_lo) = total_power and interference(gamma_hi) = 0.
-    ``density`` is the layer power density -dI/dg; when omitted it is
-    recovered by central differences.
+    ``density`` is the layer power density -dI/dg.
     """
 
     gamma_lo: float
     gamma_hi: float
     interference: Callable[[float], float]
     total_power: float
-    density: Optional[Callable[[float], float]] = None
+    density: Callable[[float], float]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma_lo < self.gamma_hi:
@@ -94,12 +96,7 @@ class PowerProfile:
             raise ValueError("total_power must be positive")
 
     def power_density(self, g: float) -> float:
-        if self.density is not None:
-            return max(0.0, self.density(g))
-        h = 1e-6 * (self.gamma_hi - self.gamma_lo)
-        lo = max(self.gamma_lo, g - h)
-        hi = min(self.gamma_hi, g + h)
-        return max(0.0, -(self.interference(hi) - self.interference(lo)) / (hi - lo))
+        return max(0.0, self.density(g))
 
 
 def uncoded_state_distortion(sys: RayleighSystem, gamma: float) -> float:
@@ -113,10 +110,11 @@ def uncoded_expected_distortion(sys: RayleighSystem) -> float:
     """Expected MSE of uncoded transmission over the fading distribution.
 
     Closed form sigma2 * exp(1/a)/a * E1(1/a) with a = power*gamma_bar,
-    which equals the direct average of sigma2/(1 + power*gamma).
+    which equals the direct average of sigma2/(1 + power*gamma); the scaled
+    exp(x)*E1(x) keeps it finite where exp(1/a) alone would overflow.
     """
     a = sys.snr_scale
-    return sys.sigma2 * math.exp(1.0 / a) / a * specfn.exp_integral(1.0 / a)
+    return sys.sigma2 * (1.0 / a) * specfn.scaled_exp_integral(1.0 / a)
 
 
 def outage_separation_distortion(sys: RayleighSystem, q: float) -> float:
@@ -155,65 +153,91 @@ def requirement_check(sys: RayleighSystem, q: float, dq: float) -> bool:
     return sys.sigma2 / dq < 1.0 - sys.snr_scale * math.log1p(-q)
 
 
+def _numerator(x: float) -> float:
+    """int_1^x (1/2 - 1/t) exp(-t/2) dt in closed form."""
+    return (_EXP_HALF - math.exp(-0.5 * x)) - (_E1_HALF - specfn.exp_integral(0.5 * x))
+
+
+def _scaled_interference(x: float) -> float:
+    """gamma_bar * I(x * gamma_bar); decreases from +inf at 0+ to 0 at x = 1."""
+    return _numerator(x) / (x * math.exp(-0.5 * x))
+
+
 def _interference_numerator(sys: RayleighSystem, gamma: float) -> float:
-    gbar = sys.gamma_bar
-    return specfn.integrate(
-        lambda u: (1.0 / (2.0 * gbar) - 1.0 / u) * math.exp(-u / (2.0 * gbar)),
-        gbar,
-        gamma,
-        tol=_QUAD_TOL,
-    )
+    """int_{gamma_bar}^{gamma} (1/(2 gamma_bar) - 1/u) exp(-u/(2 gamma_bar)) du."""
+    return _numerator(gamma / sys.gamma_bar)
 
 
 def bc_interference(sys: RayleighSystem, gamma: float) -> float:
     """Residual interference level of the optimal layered allocation.
 
-    Defined for 0 < gamma <= gamma_bar as a ratio of a quadrature over
-    (gamma, gamma_bar] to gamma * exp(-gamma/(2 gamma_bar)); it decreases
-    from +infinity at 0+ to zero at gamma_bar.
+    Defined for 0 < gamma <= gamma_bar as the ratio of the integral
+    ``_interference_numerator`` over (gamma, gamma_bar] to
+    gamma * exp(-gamma/(2 gamma_bar)); it decreases from +infinity at 0+ to
+    zero at gamma_bar.
     """
     gbar = sys.gamma_bar
     if not 0.0 < gamma <= gbar:
         raise ValueError(f"gamma must lie in (0, gamma_bar], got {gamma}")
     if gamma == gbar:
         return 0.0
-    return _interference_numerator(sys, gamma) / (gamma * math.exp(-gamma / (2.0 * gbar)))
+    return _scaled_interference(gamma / gbar) / gbar
+
+
+def _threshold_ratio(a: float) -> float:
+    """The x in (0, 1) with gamma_bar * I(x * gamma_bar) = a, by bisection.
+
+    The lower end is halved down from 1/2 until it straddles the root, then
+    the bracket is bisected to a relative width of 4.5e-16 (about two ulps; a
+    tighter relative stop can never be met) or until the midpoint repeats an
+    endpoint.  If the interference overflows first, a is out of range.
+    """
+    lo, hi = 0.5, 1.0
+    while (level := _scaled_interference(lo)) < a:
+        hi, lo = lo, 0.5 * lo
+    if math.isinf(level):
+        raise NoSolutionError(
+            f"power*gamma_bar {a} exceeds the representable interference range"
+        )
+    while hi - lo > 4.5e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _scaled_interference(mid) < a:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def bc_power_threshold(sys: RayleighSystem) -> float:
     """Gain threshold at which the layered allocation exhausts the power budget.
 
-    Solves interference(g) = power by bisection to 1e-10, bracketing downward
-    from gamma_bar where the interference vanishes.
+    Solves interference(g) = power for g = x * gamma_bar, where x depends
+    only on a = power*gamma_bar.
     """
-    gbar = sys.gamma_bar
-    target = sys.power
-    lo = 0.5 * gbar
-    while bc_interference(sys, lo) < target:
-        lo *= 0.5
-        if lo < 1e-280 * gbar:
-            achieved = bc_interference(sys, 1e-280 * gbar)
-            raise NoSolutionError(
-                f"power {target} exceeds the representable interference range "
-                f"(max achievable about {achieved})"
-            )
-    return specfn.find_root(
-        lambda g: bc_interference(sys, g) - target, lo, gbar, tol=1e-10
-    )
+    return _threshold_ratio(sys.snr_scale) * sys.gamma_bar
 
 
 def _distortion_to_go(sys: RayleighSystem, gamma: float) -> float:
-    """Normalized distortion-to-go D(gamma) of the optimal layered scheme."""
-    gbar = sys.gamma_bar
-    tail = specfn.integrate(
-        lambda u: math.exp(-(u + gbar) / (2.0 * gbar)) * (gbar / u),
-        gbar,
-        gamma,
-        tol=_QUAD_TOL,
+    """Normalized distortion-to-go D(gamma) of the optimal layered scheme.
+
+    (exp(-1) - tail/gamma_bar) * x * exp(-(x - 1)/2) with x = gamma/gamma_bar,
+    where tail/gamma_bar = exp(-1/2) * (E1(1/2) - E1(x/2)) is the closed
+    form of int_{gamma_bar}^{gamma} exp(-(u + gamma_bar)/(2 gamma_bar)) / u du.
+    """
+    x = gamma / sys.gamma_bar
+    tail = _EXP_HALF * (_E1_HALF - specfn.exp_integral(0.5 * x))
+    return (math.exp(-1.0) - tail) * x * math.exp(-0.5 * (x - 1.0))
+
+
+def _bc_distortion_at(sys: RayleighSystem, gamma_p: float) -> float:
+    value = sys.sigma2 * (
+        _distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar))
     )
-    numerator = math.exp(-1.0) - tail / gbar
-    denominator = (gbar / gamma) * math.exp((gamma - gbar) / (2.0 * gbar))
-    return numerator / denominator
+    if not 0.0 < value < sys.sigma2:
+        raise ArithmeticError(f"expected distortion {value} outside (0, sigma2)")
+    return value
 
 
 def bc_expected_distortion(sys: RayleighSystem) -> float:
@@ -223,13 +247,7 @@ def bc_expected_distortion(sys: RayleighSystem) -> float:
     threshold; gains below gamma_P receive no layer and fall back to the
     source mean.
     """
-    gamma_p = bc_power_threshold(sys)
-    value = sys.sigma2 * (
-        _distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar))
-    )
-    if not 0.0 < value < sys.sigma2:
-        raise ArithmeticError(f"expected distortion {value} outside (0, sigma2)")
-    return value
+    return _bc_distortion_at(sys, bc_power_threshold(sys))
 
 
 def bc_rate_profile(profile: PowerProfile, gamma: float) -> float:
@@ -287,12 +305,11 @@ def bc_optimal_profile(sys: RayleighSystem) -> PowerProfile:
 def compare_schemes(sys: RayleighSystem) -> list[GaussianSchemeResult]:
     """Evaluate all three strategies at one operating point."""
     q_star, de_outage = optimal_outage_for_distortion(sys)
+    gamma_p = bc_power_threshold(sys)
     return [
         GaussianSchemeResult(GaussianScheme.UNCODED, uncoded_expected_distortion(sys), None),
         GaussianSchemeResult(
-            GaussianScheme.BROADCAST_SEPARATION,
-            bc_expected_distortion(sys),
-            bc_power_threshold(sys),
+            GaussianScheme.BROADCAST_SEPARATION, _bc_distortion_at(sys, gamma_p), gamma_p
         ),
         GaussianSchemeResult(GaussianScheme.OUTAGE_SEPARATION, de_outage, q_star),
     ]

@@ -10,6 +10,10 @@ Binary words and codebooks are held bit-packed, 64 symbols to a uint64 word
 of an XOR.  Codebook memory is the packed size: codebooks are drawn and
 packed in fixed blocks of rows, never as one float array of the whole book.
 
+Budgets: a codebook may hold at most CODEBOOK_CAP packed uint64 words
+(128 MiB), and an uncoded trial at most BLOCKLENGTH_CAP symbols; larger
+requests raise BudgetError before anything is allocated.
+
 Finite-blocklength caveat: the codebook constructions follow the random
 coding recipes (Bernoulli codebooks, superposition by XOR), but typicality
 decoding is replaced by within-radius and nearest-codeword rules.  At desk
@@ -35,6 +39,7 @@ __all__ = [
     "TrialConfig",
     "TrialReport",
     "CODEBOOK_CAP",
+    "BLOCKLENGTH_CAP",
     "simulate_uncoded_bsc",
     "simulate_uncoded_gaussian",
     "simulate_random_quantizer",
@@ -44,7 +49,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CODEBOOK_CAP = 2**24
+CODEBOOK_CAP = 2**24  # packed uint64 words per codebook
+BLOCKLENGTH_CAP = 2**24  # symbols per uncoded trial
 
 # decoding-ball slack added to the nominal noise levels; keeps the true
 # codeword inside its ball often enough at small blocklengths while staying
@@ -60,7 +66,7 @@ _BLOCK_DRAWS = 2**18
 
 
 class BudgetError(ValueError):
-    """A requested codebook exceeds the desk-scale entry cap."""
+    """A requested simulation exceeds a desk-scale memory cap."""
 
 
 @dataclass(frozen=True)
@@ -150,11 +156,19 @@ def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
     return TrialReport(mean=mean, half_width_95=half, trials=cfg.trials, seed=cfg.seed)
 
 
+def _uncoded_blocklength(cfg: TrialConfig) -> int:
+    if cfg.blocklength > BLOCKLENGTH_CAP:
+        raise BudgetError(
+            f"blocklength {cfg.blocklength} exceeds the uncoded cap of {BLOCKLENGTH_CAP}"
+        )
+    return cfg.blocklength
+
+
 def simulate_uncoded_bsc(cfg: TrialConfig, alpha: float) -> TrialReport:
     """Hamming distortion of uncoded Bernoulli(1/2) words through a BSC."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {alpha}")
-    n = cfg.blocklength
+    n = _uncoded_blocklength(cfg)
     streams = _stream(cfg.seed, 0)
 
     def one(t: int) -> float:
@@ -173,7 +187,7 @@ def simulate_uncoded_gaussian(cfg: TrialConfig, sys: RayleighSystem, gamma: floa
     """
     if gamma < 0.0:
         raise ValueError(f"channel gain must be nonnegative, got {gamma}")
-    n = cfg.blocklength
+    n = _uncoded_blocklength(cfg)
     scale = math.sqrt(sys.power / sys.sigma2)
     snr = sys.power * gamma
     mmse_gain = math.sqrt(gamma) * scale * sys.sigma2 / (1.0 + snr)
@@ -189,13 +203,18 @@ def simulate_uncoded_gaussian(cfg: TrialConfig, sys: RayleighSystem, gamma: floa
 
 
 def _codebook_size(rate: float, n: int) -> int:
+    """Entries of a rate-``rate`` codebook of n-bit words, within CODEBOOK_CAP words."""
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    if rate * n > math.log2(CODEBOOK_CAP):
+    words = -(-n // 64)
+    # 2^(rate*n) is only formed once it is known not to overflow a float
+    size = math.ceil(2.0 ** (rate * n)) if rate * n <= math.log2(CODEBOOK_CAP) else math.inf
+    if size * words > CODEBOOK_CAP:
         raise BudgetError(
-            f"codebook of 2^({rate}*{n}) entries exceeds the cap of {CODEBOOK_CAP}"
+            f"codebook of 2^({rate}*{n}) entries of {words} uint64 words exceeds "
+            f"the cap of {CODEBOOK_CAP} words"
         )
-    return int(math.ceil(2.0 ** (rate * n)))
+    return size
 
 
 def _source_codebook(seed: int, size: int, n: int) -> np.ndarray:

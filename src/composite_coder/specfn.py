@@ -28,6 +28,7 @@ __all__ = [
     "bss_distortion_rate",
     "binary_convolve",
     "exp_integral",
+    "scaled_exp_integral",
     "lambert_w",
     "find_root",
     "minimize_scalar",
@@ -102,21 +103,34 @@ def binary_convolve(a: float, b: float) -> float:
 def exp_integral(x: float) -> float:
     """Decaying exponential integral int_x^inf exp(-t)/t dt for x > 0.
 
-    Alternating series below 1, modified-Lentz continued fraction above;
-    both converge to near machine precision in double arithmetic.
+    Alternating series up to 1; above that, the continued fraction of
+    ``scaled_exp_integral`` times exp(-x).  Both converge to near machine
+    precision in double arithmetic.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"argument must be positive, got {x}")
-    if x <= 1.0:
-        total = 0.0
-        term = 1.0
-        for k in range(1, 80):
-            term *= x / k
-            contrib = term / k
-            total += contrib if k % 2 == 1 else -contrib
-            if contrib < 1e-18 * max(1.0, abs(total)):
-                break
-        return -EULER_GAMMA - math.log(x) + total
+    if x > 1.0:
+        return scaled_exp_integral(x) * math.exp(-x)
+    total = 0.0
+    term = 1.0
+    for k in range(1, 80):
+        term *= x / k
+        contrib = term / k
+        total += contrib if k % 2 == 1 else -contrib
+        if contrib < 1e-18 * max(1.0, abs(total)):
+            break
+    return -EULER_GAMMA - math.log(x) + total
+
+
+def scaled_exp_integral(x: float) -> float:
+    """exp(x) * E1(x) for x > 0, finite where E1 itself underflows.
+
+    Above 1 it is the modified-Lentz continued fraction of Abramowitz &
+    Stegun 5.1.22, which never forms exp(x); at and below 1 it is exp(x)
+    times the series of ``exp_integral``.
+    """
+    if not x > 1.0:
+        return math.exp(x) * exp_integral(x)
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -132,7 +146,7 @@ def exp_integral(x: float) -> float:
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-16:
-            return f * math.exp(-x)
+            return f
     raise ConvergenceError(f"continued fraction for exp_integral({x}) did not settle")
 
 

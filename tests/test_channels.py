@@ -35,6 +35,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             RayleighSystem(sigma2=0.0, power=1.0, gamma_bar=1.0)
 
+    @pytest.mark.parametrize("field", ["sigma2", "power", "gamma_bar"])
+    def test_rayleigh_rejects_nan(self, field):
+        values = {"sigma2": 1.0, "power": 1.0, "gamma_bar": 1.0, field: math.nan}
+        with pytest.raises(ValueError):
+            RayleighSystem(**values)
+
     def test_rate_pair_bounds(self):
         with pytest.raises(ValueError):
             RatePair(r1=-0.1, r2=0.2)

@@ -134,6 +134,59 @@ class TestConfigHandling:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize("experiment", ["uncoded-bsc", "uncoded-gaussian"])
+    def test_uncoded_blocklength_budget(self, experiment, capsys):
+        # one symbol over the cap; rejected before any draw is made
+        code, out, err = run_cli(
+            ["mc", experiment, "--blocklength", "16777217", "--trials", "1"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian-compare", "--gamma-bar", "nan", "--p-grid", "1,2"],
+            ["gaussian-compare", "--power", "inf"],
+            ["gaussian-compare", "--sigma2=-inf"],
+            ["gaussian-compare", "--p-grid", "1,nan"],
+            ["gaussian-compare", "--p-grid", "1:inf:3"],
+            ["bss-frontier", "--p-grid", "0,inf", "--grid", "5"],
+            ["bss-region", "--alpha1", "nan", "--grid", "5"],
+            ["mc", "uncoded-bsc", "--alpha1", "nan", "--trials", "2"],
+        ],
+    )
+    def test_non_finite_values_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("gamma_bar = nan\n")
+        code, _, err = run_cli(["gaussian-compare", "--config", str(config)], capsys)
+        assert code == 2
+        assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bss-region", "--alpha1", "0.45", "--alpha2", "0.25", "--grid", "5"],
+            ["bss-region", "--alpha1", "0.0", "--grid", "5"],
+            ["bss-frontier", "--alpha2", "0.5", "--grid", "5"],
+            ["bss-interface", "--alpha1", "0.3", "--alpha2", "0.3", "--grid", "5"],
+            ["bss-region", "--b", "0.5", "--grid", "5"],
+            ["mc", "superposition", "--alpha1", "0.45", "--alpha2", "0.25", "--trials", "2"],
+        ],
+    )
+    def test_bsc_model_out_of_range_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_numeric_error_exit_code(self, capsys):
         # a sweep that includes power 0 fails model validation at run time
         code, _, err = run_cli(["gaussian-compare", "--p-grid", "0:1:3"], capsys)

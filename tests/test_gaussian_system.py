@@ -216,3 +216,128 @@ class TestSchemeOrdering:
         assert results[gs.GaussianScheme.BROADCAST_SEPARATION].optimal_param == pytest.approx(
             GOLDEN_POWER_THRESHOLD, abs=1e-8
         )
+
+
+def _quadrature_numerator(gbar, gamma):
+    # the defining integral of the interference numerator
+    return specfn.integrate(
+        lambda u: (1.0 / (2.0 * gbar) - 1.0 / u) * math.exp(-u / (2.0 * gbar)),
+        gbar,
+        gamma,
+        tol=1e-12,
+    )
+
+
+def _quadrature_distortion_to_go(gbar, gamma):
+    # the defining integral of the distortion-to-go tail
+    tail = specfn.integrate(
+        lambda u: math.exp(-(u + gbar) / (2.0 * gbar)) * (gbar / u), gbar, gamma, tol=1e-12
+    )
+    denominator = (gbar / gamma) * math.exp((gamma - gbar) / (2.0 * gbar))
+    return (math.exp(-1.0) - tail / gbar) / denominator
+
+
+class TestClosedFormsAgainstQuadrature:
+    @pytest.mark.parametrize("gbar", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("x", [0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0])
+    def test_numerator_and_distortion_to_go(self, gbar, x):
+        sys = RayleighSystem(sigma2=1.0, power=1.0, gamma_bar=gbar)
+        gamma = x * gbar
+        assert gs._interference_numerator(sys, gamma) == pytest.approx(
+            _quadrature_numerator(gbar, gamma), rel=1e-10, abs=1e-14
+        )
+        assert gs._distortion_to_go(sys, gamma) == pytest.approx(
+            _quadrature_distortion_to_go(gbar, gamma), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("gbar", [0.5, 1.0, 3.0])
+    def test_interference_is_ratio_of_numerator(self, gbar):
+        sys = RayleighSystem(sigma2=1.0, power=1.0, gamma_bar=gbar)
+        for x in (0.05, 0.4, 0.8):
+            gamma = x * gbar
+            expected = _quadrature_numerator(gbar, gamma) / (gamma * math.exp(-x / 2.0))
+            assert gs.bc_interference(sys, gamma) == pytest.approx(expected, rel=1e-10)
+
+    def test_profile_density_is_minus_interference_slope(self):
+        profile = gs.bc_optimal_profile(UNIT)
+        for g in (0.5, 0.7, 0.9):
+            h = 1e-5
+            slope = (profile.interference(g + h) - profile.interference(g - h)) / (2.0 * h)
+            assert profile.power_density(g) == pytest.approx(-slope, rel=1e-7)
+
+
+def _mp_oracle(a):
+    """(threshold ratio x, expected distortion over sigma2) at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        half = mp.mpf(1) / 2
+
+        def scaled_interference(x):
+            num = (mp.exp(-half) - mp.exp(-x / 2)) - (mp.e1(half) - mp.e1(x / 2))
+            return num / (x * mp.exp(-x / 2))
+
+        a = mp.mpf(a)
+        lo, hi = half, mp.mpf(1)
+        while scaled_interference(lo) < a:
+            hi, lo = lo, lo / 2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if scaled_interference(mid) < a:
+                hi = mid
+            else:
+                lo = mid
+        x = (lo + hi) / 2
+        tail = mp.exp(-half) * (mp.e1(half) - mp.e1(x / 2))
+        de = (mp.exp(-1) - tail) * x * mp.exp(-(x - 1) / 2) - mp.expm1(-x)
+        return x, de
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("k", range(-8, 9))
+    @pytest.mark.parametrize("gbar", [0.25, 1.0, 4.0])
+    def test_threshold_and_distortion(self, k, gbar):
+        # gamma_bar is a power of two, so power*gamma_bar is exactly 10^k
+        a = 10.0**k
+        x, de = _mp_oracle(a)
+        sys = RayleighSystem(sigma2=1.0, power=a / gbar, gamma_bar=gbar)
+        assert sys.snr_scale == a
+        threshold = gs.bc_power_threshold(sys)
+        distortion = gs.bc_expected_distortion(sys)
+        assert abs(threshold / (float(x) * gbar) - 1.0) <= 1e-13
+        assert abs(distortion / float(de) - 1.0) <= 1e-13
+
+
+class TestRange:
+    @pytest.mark.parametrize("gbar", [0.25, 1.0, 4.0])
+    def test_all_schemes_finite_and_ordered(self, gbar):
+        for k in range(-16, 17):
+            sys = RayleighSystem(sigma2=1.0, power=10.0 ** (k / 2.0), gamma_bar=gbar)
+            uncoded = gs.uncoded_expected_distortion(sys)
+            broadcast = gs.bc_expected_distortion(sys)
+            _, outage = gs.optimal_outage_for_distortion(sys)
+            assert all(math.isfinite(v) for v in (uncoded, broadcast, outage))
+            # outage - broadcast = 0.0613 a^3 + O(a^4) (40-digit evaluation),
+            # below the float spacing for a < 1e-5: allow a few ulps there
+            assert 0.0 < uncoded <= broadcast <= outage * (1.0 + 1e-15)
+            assert outage <= sys.sigma2
+
+    def test_uncoded_at_tiny_snr(self):
+        # exp(1/a) alone overflows below a = 1.4e-3
+        sys = RayleighSystem(sigma2=1.0, power=1e-3, gamma_bar=1.0)
+        # 1/(1 + a g) averaged: sum of (-1)^k k! a^k, next term 720 a^6
+        assert gs.uncoded_expected_distortion(sys) == pytest.approx(
+            1.0 - 1e-3 + 2e-6 - 6e-9 + 24e-12 - 120e-15, rel=1e-14
+        )
+
+    def test_compare_schemes_at_extremes(self):
+        for power in (1e-8, 1e8):
+            sys = RayleighSystem(sigma2=1.0, power=power, gamma_bar=1.0)
+            results = {r.scheme: r for r in gs.compare_schemes(sys)}
+            bc = results[gs.GaussianScheme.BROADCAST_SEPARATION]
+            assert bc.expected_distortion == gs.bc_expected_distortion(sys)
+            assert bc.optimal_param == gs.bc_power_threshold(sys)
+
+    def test_power_beyond_float_range(self):
+        sys = RayleighSystem(sigma2=1.0, power=1e308, gamma_bar=10.0)
+        with pytest.raises(gs.NoSolutionError):
+            gs.bc_power_threshold(sys)

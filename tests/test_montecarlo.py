@@ -310,6 +310,19 @@ class TestPackedKernel:
 
 
 class TestCodebookMemory:
+    def test_cap_counts_packed_words(self):
+        # 2^21.4 entries pass an entry cap of 2^24, but at 7 uint64 words
+        # each they would take 151 MiB packed
+        with pytest.raises(mc.BudgetError):
+            mc._codebook_size(0.05, 428)
+        with pytest.raises(mc.BudgetError):
+            mc._codebook_size(24 / 65, 65)
+
+    def test_cap_keeps_single_word_codebooks(self):
+        assert mc._codebook_size(1.0, 24) == mc.CODEBOOK_CAP
+        assert mc._codebook_size(0.375, 64) == mc.CODEBOOK_CAP
+        assert mc._codebook_size(0.2, 100) == 2**20
+
     def test_large_codebook_stays_near_packed_size(self):
         # 2^20 words of 40 bits: 8 MiB packed, against 335 MB for a float64
         # draw of the whole codebook at once

@@ -134,6 +134,32 @@ class TestExpIntegral:
             specfn.exp_integral(0.0)
         with pytest.raises(ValueError):
             specfn.exp_integral(-1.0)
+        with pytest.raises(ValueError):
+            specfn.exp_integral(math.nan)
+
+
+class TestScaledExpIntegral:
+    @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 1.5, 4.0, 12.0, 30.0])
+    def test_matches_exp_integral(self, x):
+        assert specfn.scaled_exp_integral(x) == pytest.approx(
+            math.exp(x) * specfn.exp_integral(x), rel=1e-14
+        )
+
+    def test_asymptotic_series_at_large_argument(self):
+        # e^x E1(x) = 1/x - 1/x^2 + 2/x^3 - ..., next term 6/x^4
+        x = 1e6
+        assert specfn.scaled_exp_integral(x) == pytest.approx(
+            1.0 / x - 1.0 / x**2 + 2.0 / x**3, rel=1e-15
+        )
+
+    def test_finite_where_exp_integral_underflows(self):
+        assert specfn.exp_integral(1e3) == 0.0
+        assert specfn.scaled_exp_integral(1e3) == pytest.approx(1e-3 * (1 - 1e-3), rel=1e-5)
+
+    def test_domain(self):
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                specfn.scaled_exp_integral(x)
 
 
 class TestLambertW:
