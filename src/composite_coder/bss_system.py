@@ -18,6 +18,17 @@ transmitter/receiver source-channel interfaces (kt, kr):
 Distortion regions are convex hulls of swept parameter families, so the
 frontier and region computations include time sharing.  All rates here are
 in bits per channel use and all distortions are Hamming fractions.
+
+The two layered families are swept as arrays: ``sweep_layered`` evaluates a
+whole (beta, rho) mesh with numpy (imported on first use, so importing this
+module does not load numpy) and returns a ``LayeredSweep`` struct of arrays.
+Its values equal the scalar evaluators' bit for bit: the mesh arithmetic
+keeps their operation order, and the entropy inverse repeats the scalar
+bisection decision for decision (see ``_inverse_entropy_array``).  The
+scalar ``broadcast_scheme``/``residue_splitting_scheme`` stay the per-point
+API and the reference the array core is tested against.  A sweep holds at
+most MESH_CAP points; a larger one raises ``specfn.BudgetError`` before any
+array is allocated.
 """
 
 from __future__ import annotations
@@ -26,14 +37,18 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import specfn
 from .channels import CompositeBsc, bsc_bc_rate_region
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "Scheme",
     "SchemeEvaluation",
+    "LayeredSweep",
     "WynerZivCurve",
     "FrontierPoint",
     "Crossover",
@@ -48,15 +63,31 @@ __all__ = [
     "systematic_scheme_good",
     "systematic_scheme_bad",
     "residue_splitting_scheme",
+    "sweep_layered",
+    "hull_dominates_array",
     "sweep_broadcast",
     "sweep_residue_splitting",
     "distortion_region",
     "best_expected_distortion",
     "expected_distortion_frontier",
+    "interface_staircases",
     "interface_tradeoff",
 ]
 
 RHO_MAX = 1.0 - 1e-6
+MESH_CAP = 2**21  # (beta, rho) points per layered sweep: admits grid 1025, not 1449
+
+# The scalar entropy inverse halves [0, 1/2] until the bracket is at most
+# 1e-12 wide; the widths are 0.5 * 2^-k exactly and 0.5 * 2^-39 <= 1e-12 <
+# 0.5 * 2^-38, so it always halves 39 times.
+_ENTROPY_HALVINGS = 39
+# np.log2 and math.log2 differ by at most one ulp, which moves the computed
+# h(mid) by under 1e-15; a bisection decision with |h(mid) - r| at or below
+# this bound is re-made with the scalar specfn.binary_entropy, so every
+# decision matches the scalar path.
+_ENTROPY_GUARD = 4e-15
+# entropy inversions per bisection chunk: bounds the temporaries of a large mesh
+_INVERSION_CHUNK = 2**16
 
 
 class Scheme(str, Enum):
@@ -239,6 +270,187 @@ def residue_splitting_scheme(ch: CompositeBsc, beta: float, rho: float) -> Schem
     return _evaluate_layered(ch, beta, rho, Scheme.RESIDUE_SPLITTING)
 
 
+@dataclass(frozen=True, eq=False)
+class LayeredSweep:
+    """One layered family evaluated on a (beta, rho) mesh, as a struct of arrays.
+
+    Element i is the point (beta[i], rho[i]); d1, d2, expected, kt and kr
+    equal the fields of ``broadcast_scheme``/``residue_splitting_scheme`` at
+    that point exactly.  Broadcast sweeps have rho = 0 throughout.
+    """
+
+    scheme: Scheme
+    beta: np.ndarray
+    rho: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    expected: np.ndarray
+    kt: np.ndarray
+    kr: np.ndarray
+
+    def params(self, i: int) -> dict[str, float]:
+        """The SchemeEvaluation params of point i."""
+        if self.scheme == Scheme.BROADCAST:
+            return {"beta": float(self.beta[i])}
+        return {"beta": float(self.beta[i]), "rho": float(self.rho[i])}
+
+    def param_columns(self) -> tuple[list[float], list[float | None]]:
+        """beta and rho per point as table cells; broadcast has no rho cell.
+
+        The cells share one float object per grid value, as the scalar
+        sweeps' parameter dicts did, instead of one per point.
+        """
+        if self.scheme == Scheme.BROADCAST:
+            return self.beta.tolist(), [None] * self.beta.size
+        grid = math.isqrt(self.beta.size)
+        betas, rhos = self.beta[::grid].tolist(), self.rho[:grid].tolist()
+        return [beta for beta in betas for _ in rhos], rhos * grid
+
+    def hull_indices(self) -> list[int]:
+        """Indices of the vertices of the (d1, d2) hull, ``specfn.pareto_lower_hull``'s.
+
+        Points that an earlier point in (d1, d2) order weakly dominates are
+        dropped with numpy first; the hull of the rest is the hull of all.
+        Of several equal points, the first in sweep order is the vertex.
+        """
+        import numpy as np
+
+        order = np.lexsort((self.d2, self.d1))  # stable: ties keep sweep order
+        d2 = self.d2[order]
+        keep = np.ones(d2.size, dtype=bool)
+        keep[1:] = d2[1:] < np.minimum.accumulate(d2)[:-1]
+        index = order[keep].tolist()
+        points = list(zip(self.d1[index].tolist(), self.d2[index].tolist()))
+        vertex = dict(zip(points, index))
+        return [vertex[v] for v in specfn.pareto_lower_hull(points)]
+
+    def hull(self) -> list[tuple[float, float]]:
+        """The lower convex hull of the (d1, d2) points, sorted by d1."""
+        return [(self.d1[i].item(), self.d2[i].item()) for i in self.hull_indices()]
+
+    def evaluations(self) -> list[SchemeEvaluation]:
+        """The sweep as per-point SchemeEvaluation objects, in sweep order."""
+        columns = (self.d1, self.d2, self.expected, self.kt, self.kr)
+        return [
+            SchemeEvaluation(self.scheme, self.params(i), d1, d2, expected, kt, kr)
+            for i, (d1, d2, expected, kt, kr) in enumerate(zip(*(c.tolist() for c in columns)))
+        ]
+
+
+def _inverse_entropy_array(r: np.ndarray) -> np.ndarray:
+    """``specfn.inverse_binary_entropy`` of every r in (0, 1), bit for bit.
+
+    Runs the scalar bisection's 39 halvings on all elements at once, with
+    entropy from np.log2; any comparison within _ENTROPY_GUARD of the target
+    is re-decided with the scalar ``specfn.binary_entropy``.
+    """
+    import numpy as np
+
+    lo = np.zeros_like(r)
+    hi = np.full_like(r, 0.5)
+    for _ in range(_ENTROPY_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        h = -(mid * np.log2(mid) + (1.0 - mid) * np.log2(1.0 - mid))
+        below = h < r
+        tie = np.flatnonzero(np.abs(h - r) <= _ENTROPY_GUARD)
+        if tie.size:
+            below[tie] = [
+                specfn.binary_entropy(m) < t for m, t in zip(mid[tie].tolist(), r[tie].tolist())
+            ]
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _distortion_rate_array(rate: np.ndarray) -> np.ndarray:
+    """``specfn.bss_distortion_rate`` of every element, bit for bit."""
+    import numpy as np
+
+    if not np.all(rate >= 0.0):
+        raise ValueError("rate must be nonnegative")
+    target = 1.0 - rate
+    # rate >= 1 is lossless (0); target 1 (rate 0, or below half an ulp) is 1/2
+    out = np.where(target == 1.0, 0.5, 0.0)
+    todo = np.flatnonzero((rate < 1.0) & (target != 1.0))
+    for start in range(0, todo.size, _INVERSION_CHUNK):
+        chunk = todo[start : start + _INVERSION_CHUNK]
+        out[chunk] = _inverse_entropy_array(target[chunk])
+    return out
+
+
+def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
+    """Broadcast or residue splitting on the uniform grid of its sweep.
+
+    Broadcast takes ``grid`` values of beta in [0, 1/2]; residue splitting
+    the beta-major grid x grid mesh of beta and rho in [0, RHO_MAX].  Each
+    point equals the scalar ``_evaluate_layered`` at it exactly: the rate
+    pair comes from the scalar ``bsc_bc_rate_region`` once per beta, and the
+    mesh arithmetic keeps the scalar operation order.
+    """
+    if family not in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
+        raise ValueError(f"{family} is not a layered family")
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
+    points = grid if family == Scheme.BROADCAST else grid * grid
+    if points > MESH_CAP:
+        raise specfn.BudgetError(
+            f"{family.value} sweep at grid {grid} has {points} points, over the cap of {MESH_CAP}"
+        )
+    import numpy as np
+
+    betas = [0.5 * i / (grid - 1) for i in range(grid)]
+    rates = [bsc_bc_rate_region(ch, beta) for beta in betas]
+    beta = np.array(betas)
+    r1 = np.array([r.r1 for r in rates])
+    r2 = np.array([r.r2 for r in rates])
+    if family == Scheme.BROADCAST:
+        rho = np.zeros(grid)
+    else:
+        rhos = np.array([RHO_MAX * j / (grid - 1) for j in range(grid)])
+        beta, r1, r2 = (np.repeat(a, grid) for a in (beta, r1, r2))
+        rho = np.tile(rhos, grid)
+    b, p = ch.b, ch.p
+    # rho <= RHO_MAX < 1 throughout, so _evaluate_layered's rho = 1 branch never applies
+    d2 = _distortion_rate_array((b - rho) * r2)
+    d1 = _distortion_rate_array((b - rho) / (1.0 - rho) * r1 + (b - rho) * r2)
+    big_d1 = (1.0 - rho) * d1 + rho * np.minimum(d2, ch.alpha1)
+    big_d2 = (1.0 - rho) * d2 + rho * np.minimum(d2, ch.alpha2)
+    kt = (b - rho) * (r1 + r2) + rho
+    kr = (b - rho) * ((1.0 - p) * r1 + r2)
+    kr = np.where(d2 > ch.alpha2, kr + rho, np.where(d2 > ch.alpha1, kr + (1.0 - p) * rho, kr))
+    expected = (1.0 - p) * big_d1 + p * big_d2
+    # the SchemeEvaluation invariants, checked for the whole mesh
+    disordered = ~((-1e-12 <= big_d1) & (big_d1 <= big_d2) & (big_d2 <= 0.5 + 1e-12))
+    if disordered.any():
+        i = int(np.argmax(disordered))
+        raise AssertionError(
+            f"distortions out of order for {family}: d1={big_d1[i].item()}, d2={big_d2[i].item()}"
+        )
+    if (kt < 0.0).any() or (kr < 0.0).any():
+        raise AssertionError(f"negative interface complexity for {family}")
+    return LayeredSweep(family, beta, rho, big_d1, big_d2, expected, kt, kr)
+
+
+def hull_dominates_array(
+    hull: Sequence[tuple[float, float]], x: Sequence[float], y: Sequence[float], slack: float = 0.0
+) -> np.ndarray:
+    """``specfn.hull_dominates`` of every point (x[i], y[i]), with the same arithmetic."""
+    import numpy as np
+
+    xs = np.array([v[0] for v in hull])
+    ys = np.array([v[1] for v in hull])
+    reach = np.asarray(x) + slack
+    bound = np.asarray(y) + slack
+    k = np.searchsorted(xs, reach, side="right")
+    out = np.where(k == len(xs), ys[-1] <= bound, False)
+    seg = np.flatnonzero((k > 0) & (k < len(xs)))
+    ks = k[seg]
+    x0, x1, y0, y1 = xs[ks - 1], xs[ks], ys[ks - 1], ys[ks]
+    t = (reach[seg] - x0) / (x1 - x0)
+    out[seg] = y0 + t * (y1 - y0) <= bound[seg]
+    return out
+
+
 def systematic_scheme_good(ch: CompositeBsc) -> SchemeEvaluation:
     """Systematic code tuned to the good state.
 
@@ -311,18 +523,12 @@ def systematic_scheme_bad(ch: CompositeBsc) -> SchemeEvaluation:
 
 def sweep_broadcast(ch: CompositeBsc, grid: int) -> list[SchemeEvaluation]:
     """Broadcast evaluations on a uniform beta grid over [0, 1/2]."""
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    return [broadcast_scheme(ch, 0.5 * i / (grid - 1)) for i in range(grid)]
+    return sweep_layered(ch, Scheme.BROADCAST, grid).evaluations()
 
 
 def sweep_residue_splitting(ch: CompositeBsc, grid: int) -> list[SchemeEvaluation]:
     """Residue-splitting evaluations on a uniform (beta, rho) grid."""
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    betas = [0.5 * i / (grid - 1) for i in range(grid)]
-    rhos = [RHO_MAX * j / (grid - 1) for j in range(grid)]
-    return [residue_splitting_scheme(ch, be, ro) for be in betas for ro in rhos]
+    return sweep_layered(ch, Scheme.RESIDUE_SPLITTING, grid).evaluations()
 
 
 _SINGLETON_FAMILIES = {
@@ -333,14 +539,6 @@ _SINGLETON_FAMILIES = {
 }
 
 
-def _family_evaluations(ch: CompositeBsc, family: Scheme, grid: int) -> list[SchemeEvaluation]:
-    if family == Scheme.BROADCAST:
-        return sweep_broadcast(ch, grid)
-    if family == Scheme.RESIDUE_SPLITTING:
-        return sweep_residue_splitting(ch, grid)
-    return [_SINGLETON_FAMILIES[family](ch)]
-
-
 def distortion_region(
     ch: CompositeBsc, family: Scheme, grid: int
 ) -> list[tuple[float, float]]:
@@ -349,20 +547,16 @@ def distortion_region(
     Parametric families are swept on the given grid and closed under time
     sharing (convex hull); the systematic families are single points.
     """
-    evals = _family_evaluations(ch, family, grid)
     if family in _SINGLETON_FAMILIES:
-        return [(evals[0].d1, evals[0].d2)]
-    return specfn.pareto_lower_hull([(e.d1, e.d2) for e in evals])
+        e = _SINGLETON_FAMILIES[family](ch)
+        return [(e.d1, e.d2)]
+    return sweep_layered(ch, family, grid).hull()
 
 
-def _hull_with_params(
-    evals: Sequence[SchemeEvaluation],
-) -> list[tuple[float, float, dict[str, float]]]:
-    hull = specfn.pareto_lower_hull([(e.d1, e.d2) for e in evals])
-    lookup: dict[tuple[float, float], dict[str, float]] = {}
-    for e in evals:
-        lookup.setdefault((e.d1, e.d2), e.params)
-    return [(x, y, lookup[(x, y)]) for x, y in hull]
+def _hull_with_params(sweep: LayeredSweep) -> list[tuple[float, float, dict[str, float]]]:
+    return [
+        (sweep.d1[i].item(), sweep.d2[i].item(), sweep.params(i)) for i in sweep.hull_indices()
+    ]
 
 
 def best_expected_distortion(
@@ -379,7 +573,7 @@ def best_expected_distortion(
     if family in _SINGLETON_FAMILIES:
         e = _SINGLETON_FAMILIES[family](ch)
         return (1.0 - p) * e.d1 + p * e.d2, dict(e.params)
-    hull = _hull_with_params(_family_evaluations(ch, family, grid))
+    hull = _hull_with_params(sweep_layered(ch, family, grid))
     best_val, best_params = math.inf, {}
     for d1, d2, params in hull:
         val = (1.0 - p) * d1 + p * d2
@@ -429,9 +623,10 @@ def expected_distortion_frontier(
     crossover is refined by bisecting the difference of the two families'
     best expected distortions to 1e-4.
     """
+    # residue splitting first: its mesh is the one a work budget can refuse
     hulls: dict[Scheme, list[tuple[float, float, dict[str, float]]]] = {
-        Scheme.BROADCAST: _hull_with_params(sweep_broadcast(ch, grid)),
-        Scheme.RESIDUE_SPLITTING: _hull_with_params(sweep_residue_splitting(ch, grid)),
+        fam: _hull_with_params(sweep_layered(ch, fam, grid))
+        for fam in (Scheme.RESIDUE_SPLITTING, Scheme.BROADCAST)
     }
     singles = {
         fam: _SINGLETON_FAMILIES[fam](ch)
@@ -453,14 +648,15 @@ def expected_distortion_frontier(
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"state probability must lie in [0, 1], got {p}")
-        per_family = {fam: family_best(fam, p)[0] for fam in _FRONTIER_FAMILIES}
+        best = {fam: family_best(fam, p) for fam in _FRONTIER_FAMILIES}
+        per_family = {fam: value for fam, (value, _) in best.items()}
         winner = min(_FRONTIER_FAMILIES, key=lambda f: per_family[f])
         points.append(
             FrontierPoint(
                 p=p,
                 scheme=winner,
                 expected=per_family[winner],
-                params=family_best(winner, p)[1],
+                params=best[winner][1],
                 family_expected=per_family,
             )
         )
@@ -499,6 +695,16 @@ def _staircase(series: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
+def interface_staircases(
+    kt: Sequence[float], kr: Sequence[float], expected: Sequence[float]
+) -> dict[str, list[tuple[float, float]]]:
+    """Lower (kt, expected) and (kr, expected) staircases of one family's points."""
+    return {
+        "kt": _staircase(list(zip(kt, expected))),
+        "kr": _staircase(list(zip(kr, expected))),
+    }
+
+
 def interface_tradeoff(
     ch: CompositeBsc, p: float, grid: int
 ) -> dict[Scheme, dict[str, list[tuple[float, float]]]]:
@@ -508,9 +714,12 @@ def interface_tradeoff(
     (kr, expected) series at the given bad-state probability p; the reported
     series are lower staircases sorted by complexity.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
     ch_at_p = CompositeBsc(alpha1=ch.alpha1, alpha2=ch.alpha2, p=p, b=ch.b)
+    # residue splitting first, as in expected_distortion_frontier
+    sweeps = {
+        fam: sweep_layered(ch_at_p, fam, grid)
+        for fam in (Scheme.RESIDUE_SPLITTING, Scheme.BROADCAST)
+    }
     result: dict[Scheme, dict[str, list[tuple[float, float]]]] = {}
     for family in (
         Scheme.BROADCAST,
@@ -518,9 +727,10 @@ def interface_tradeoff(
         Scheme.SYSTEMATIC_GOOD,
         Scheme.SYSTEMATIC_BAD,
     ):
-        evals = _family_evaluations(ch_at_p, family, grid)
-        result[family] = {
-            "kt": _staircase([(e.kt, e.expected) for e in evals]),
-            "kr": _staircase([(e.kr, e.expected) for e in evals]),
-        }
+        if family in sweeps:
+            s = sweeps[family]
+            result[family] = interface_staircases(s.kt.tolist(), s.kr.tolist(), s.expected.tolist())
+        else:
+            e = _SINGLETON_FAMILIES[family](ch_at_p)
+            result[family] = interface_staircases([e.kt], [e.kr], [e.expected])
     return result

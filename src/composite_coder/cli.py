@@ -20,7 +20,10 @@ metadata carries a canonical parameter string and its hash, never a
 timestamp.
 
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
-3 numeric error, 4 simulation budget error.
+3 numeric error, 4 work budget error (Monte Carlo or analytic sweep).
+
+Importing this module does not import numpy: the ``bss-*`` commands load it
+through the array core of ``bss_system``, and ``mc`` with ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import __version__, bss_system, channels, gaussian_system, montecarlo, specfn
+from . import __version__, bss_system, channels, gaussian_system, specfn
 from .bss_system import Scheme
 
 EXIT_OK = 0
@@ -207,38 +210,32 @@ def _bsc(cfg: RunConfig) -> channels.CompositeBsc:
 
 def cmd_bss_region(cfg: RunConfig) -> FigureTable:
     ch = _bsc(cfg)
-    residue_evals = bss_system.sweep_residue_splitting(ch, cfg.grid)
-    hull = specfn.pareto_lower_hull([(e.d1, e.d2) for e in residue_evals])
-
-    def on_hull(d1: float, d2: float) -> int:
-        point = (d1, d2)
-        on = specfn.hull_dominates(hull, point, slack=1e-9) and not specfn.hull_dominates(
-            hull, point, slack=-1e-9
+    residue = bss_system.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, cfg.grid)
+    broadcast = bss_system.sweep_layered(ch, Scheme.BROADCAST, cfg.grid)
+    # the last cell, on_hull, is filled in below
+    rows: list[list[object]] = [
+        [e.scheme.value, e.params.get("beta"), e.params.get("rho"), e.d1, e.d2, 0]
+        for e in (bss_system.shannon_scheme(ch), bss_system.outage_scheme(ch))
+    ]
+    for sweep in (broadcast, residue):
+        beta, rho = sweep.param_columns()
+        scheme = sweep.scheme.value
+        rows.extend(
+            [scheme, be, ro, d1, d2, 0]
+            for be, ro, d1, d2 in zip(beta, rho, sweep.d1.tolist(), sweep.d2.tolist())
         )
-        return 1 if on else 0
-
-    rows: list[list[object]] = []
-
-    def add(e: bss_system.SchemeEvaluation) -> None:
-        rows.append(
-            [
-                e.scheme.value,
-                e.params.get("beta"),
-                e.params.get("rho"),
-                e.d1,
-                e.d2,
-                on_hull(e.d1, e.d2),
-            ]
-        )
-
-    add(bss_system.shannon_scheme(ch))
-    add(bss_system.outage_scheme(ch))
-    for e in bss_system.sweep_broadcast(ch, cfg.grid):
-        add(e)
-    for e in residue_evals:
-        add(e)
-    add(bss_system.systematic_scheme_good(ch))
-    add(bss_system.systematic_scheme_bad(ch))
+    rows.extend(
+        [e.scheme.value, None, None, e.d1, e.d2, 0]
+        for e in (bss_system.systematic_scheme_good(ch), bss_system.systematic_scheme_bad(ch))
+    )
+    # a row is on the hull when the hull dominates it within 1e-9 but not by 1e-9
+    hull = residue.hull()
+    d1s, d2s = [row[3] for row in rows], [row[4] for row in rows]
+    near = bss_system.hull_dominates_array(hull, d1s, d2s, slack=1e-9)
+    strictly = bss_system.hull_dominates_array(hull, d1s, d2s, slack=-1e-9)
+    for row, on in zip(rows, (near & ~strictly).tolist()):
+        if on:
+            row[5] = 1
     return FigureTable(
         columns=["scheme", "param1", "param2", "D1", "D2", "on_hull"],
         rows=rows,
@@ -273,20 +270,19 @@ def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
 
 def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
     ch = _bsc(cfg)
+    residue = bss_system.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, cfg.grid)
+    broadcast = bss_system.sweep_layered(ch, Scheme.BROADCAST, cfg.grid)
     rows: list[list[object]] = []
-    for family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
-        evals = (
-            bss_system.sweep_broadcast(ch, cfg.grid)
-            if family == Scheme.BROADCAST
-            else bss_system.sweep_residue_splitting(ch, cfg.grid)
-        )
-        for e in evals:
-            rows.append(
-                [e.scheme.value, e.params.get("beta"), e.params.get("rho"), e.kt, e.kr, e.expected]
-            )
+    stairs: dict[Scheme, dict[str, list[tuple[float, float]]]] = {}
+    for sweep in (broadcast, residue):
+        beta, rho = sweep.param_columns()
+        kt, kr, de = sweep.kt.tolist(), sweep.kr.tolist(), sweep.expected.tolist()
+        scheme = sweep.scheme.value
+        rows.extend([scheme, *cells] for cells in zip(beta, rho, kt, kr, de))
+        stairs[sweep.scheme] = bss_system.interface_staircases(kt, kr, de)
     for e in (bss_system.systematic_scheme_good(ch), bss_system.systematic_scheme_bad(ch)):
         rows.append([e.scheme.value, None, None, e.kt, e.kr, e.expected])
-    stairs = bss_system.interface_tradeoff(ch, cfg.p, cfg.grid)
+        stairs[e.scheme] = bss_system.interface_staircases([e.kt], [e.kr], [e.expected])
     for family, sides in stairs.items():
         for k, de in sides["kt"]:
             rows.append([f"{family.value}:stair-kt", None, None, k, None, de])
@@ -300,6 +296,8 @@ def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
 
 
 def _mc_rows(cfg: RunConfig) -> list[list[object]]:
+    from . import montecarlo
+
     rows: list[list[object]] = []
 
     def row(param: str, n: int, report: montecarlo.TrialReport, target: Optional[float],
@@ -606,8 +604,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             )
         if cfg.b < 1.0:
             raise ConfigError(f"b must be >= 1, got {cfg.b}")
-    if cfg.command == "bss-interface" and not 0.0 <= cfg.p <= 1.0:
-        raise ConfigError(f"p must lie in [0, 1], got {cfg.p}")
+    if cfg.command.startswith("bss-"):
+        for p in (cfg.p, *cfg.p_grid):
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
+    if cfg.command == "gaussian-compare" and cfg.gamma_bar > 0.0:
+        # powers <= 0 are left to the model, which rejects them as a numeric error
+        for power in cfg.p_grid:
+            a = power * cfg.gamma_bar
+            if power > 0.0 and not sys.float_info.min <= a <= sys.float_info.max:
+                raise ConfigError(
+                    f"P*gamma_bar = {power!r}*{cfg.gamma_bar!r} = {a!r} "
+                    "is not a positive normal float"
+                )
     if cfg.command == "bss-interface" and "p" not in provided:
         cfg.p = 0.7
     return cfg
@@ -650,7 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except montecarlo.BudgetError as exc:
+    except specfn.BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except _NUMERIC_ERRORS as exc:

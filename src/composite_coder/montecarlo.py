@@ -33,6 +33,7 @@ import numpy as np
 
 from . import specfn
 from .channels import CompositeBsc, RatePair, RayleighSystem
+from .specfn import BudgetError
 
 __all__ = [
     "BudgetError",
@@ -63,10 +64,6 @@ _MASK64 = 2**64 - 1
 # float64 draws per codebook block: bounds the temporaries of a codebook
 # draw to 2 MiB whatever its size
 _BLOCK_DRAWS = 2**18
-
-
-class BudgetError(ValueError):
-    """A requested simulation exceeds a desk-scale memory cap."""
 
 
 @dataclass(frozen=True)

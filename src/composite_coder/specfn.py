@@ -17,11 +17,14 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import bisect
 import math
+from operator import itemgetter
 from typing import Callable, Sequence
 
 __all__ = [
     "BracketError",
+    "BudgetError",
     "ConvergenceError",
     "binary_entropy",
     "inverse_binary_entropy",
@@ -49,6 +52,10 @@ class BracketError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its refinement budget."""
+
+
+class BudgetError(ValueError):
+    """A requested computation exceeds a desk-scale work or memory cap."""
 
 
 def binary_entropy(p: float) -> float:
@@ -342,18 +349,19 @@ def hull_dominates(
 ) -> bool:
     """True when some point on the hull polyline weakly dominates ``point``.
 
-    ``slack`` loosens the comparison componentwise; a negative slack demands
-    strict domination by at least that margin.
+    ``hull`` must be sorted by x, as ``pareto_lower_hull`` returns it; the
+    segment under the point is found by bisection.  ``slack`` loosens the
+    comparison componentwise; a negative slack demands strict domination by
+    at least that margin.
     """
     px, py = point
     reach = px + slack
     if reach < hull[0][0]:
         return False
-    if reach >= hull[-1][0]:
+    k = bisect.bisect_right(hull, reach, key=itemgetter(0))
+    if k == len(hull):
         # hull y-values decrease with x, so the last vertex is the least y
         return hull[-1][1] <= py + slack
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        if x0 <= reach < x1:
-            t = (reach - x0) / (x1 - x0)
-            return y0 + t * (y1 - y0) <= py + slack
-    return hull[-1][1] <= py + slack
+    (x0, y0), (x1, y1) = hull[k - 1], hull[k]
+    t = (reach - x0) / (x1 - x0)
+    return y0 + t * (y1 - y0) <= py + slack

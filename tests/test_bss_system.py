@@ -374,3 +374,146 @@ class TestInterfaceTradeoff:
         drops = any(a > b for a, b in zip(des, des[1:]))
         rises = any(a < b for a, b in zip(des, des[1:]))
         assert drops and rises
+
+
+# the benchmark's operating range: 3 x 2 x 3 points, plus one lossless point
+_ARRAY_POINTS = [
+    (alpha1, alpha1 + gap, b)
+    for alpha1 in (0.2, 0.25, 0.3)
+    for gap in (0.05, 0.15)
+    for b in (1.8, 2.0, 2.2)
+]
+_LOSSLESS_POINT = (0.05, 0.3, 2.2)  # b * (1 - h(alpha1)) = 1.57 >= 1
+
+
+def _channel(alpha1, alpha2, b, p=0.37):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lossless point warns
+        return CompositeBsc(alpha1=alpha1, alpha2=alpha2, p=p, b=b)
+
+
+def _fields(e):
+    return (e.d1, e.d2, e.expected, e.kt, e.kr)
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("point", _ARRAY_POINTS + [_LOSSLESS_POINT])
+    def test_mesh_equals_scalar_evaluators_exactly(self, point):
+        ch = _channel(*point)
+        for family, scalar in (
+            (Scheme.BROADCAST, lambda be, ro: bss.broadcast_scheme(ch, be)),
+            (Scheme.RESIDUE_SPLITTING, lambda be, ro: bss.residue_splitting_scheme(ch, be, ro)),
+        ):
+            sweep = bss.sweep_layered(ch, family, 33)
+            columns = [
+                c.tolist()
+                for c in (sweep.beta, sweep.rho, sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
+            ]
+            assert len(columns[0]) == (33 if family == Scheme.BROADCAST else 33 * 33)
+            for beta, rho, *fields in zip(*columns):
+                assert tuple(fields) == _fields(scalar(beta, rho)), (family, beta, rho)
+
+    def test_lossless_point_reaches_zero_distortion(self):
+        sweep = bss.sweep_layered(_channel(*_LOSSLESS_POINT), Scheme.RESIDUE_SPLITTING, 17)
+        assert (sweep.d1 == 0.0).any()
+
+    def test_sweep_wrappers_keep_grid_order_and_params(self):
+        evals = bss.sweep_residue_splitting(CH, 5)
+        assert [tuple(e.params.values()) for e in evals[:6]] == [
+            (0.0, 0.0), (0.0, 0.25 * bss.RHO_MAX), (0.0, 0.5 * bss.RHO_MAX),
+            (0.0, 0.75 * bss.RHO_MAX), (0.0, bss.RHO_MAX), (0.125, 0.0),
+        ]
+        assert evals[7] == bss.residue_splitting_scheme(CH, 0.125, 0.5 * bss.RHO_MAX)
+        assert [e.params for e in bss.sweep_broadcast(CH, 3)] == [
+            {"beta": 0.0}, {"beta": 0.25}, {"beta": 0.5},
+        ]
+
+    @pytest.mark.parametrize("family", [Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING])
+    def test_param_columns_match_params(self, family):
+        sweep = bss.sweep_layered(CH, family, 7)
+        beta, rho = sweep.param_columns()
+        assert beta == [e.params["beta"] for e in sweep.evaluations()]
+        assert rho == [e.params.get("rho") for e in sweep.evaluations()]
+
+    def test_scalar_inverse_halves_the_same_number_of_times(self, monkeypatch):
+        calls = []
+        entropy = specfn.binary_entropy
+        monkeypatch.setattr(specfn, "binary_entropy", lambda p: calls.append(p) or entropy(p))
+        for r in (1e-9, 0.3, 0.811, 1.0 - 1e-12):
+            calls.clear()
+            specfn.inverse_binary_entropy(r)
+            assert len(calls) == bss._ENTROPY_HALVINGS
+
+    def test_guard_redecides_exact_entropy_values(self, monkeypatch):
+        np = pytest.importorskip("numpy")
+        # r = h(mid) for midpoints the bisection visits: the comparison there
+        # is a tie at float precision and must be re-decided by the scalar h
+        mids = [0.25, 0.125, 0.375, 0.4375, 3.0 * 2.0**-10, 12345.0 * 2.0**-30, 0.5 - 2.0**-20]
+        targets = [specfn.binary_entropy(m) for m in mids]
+        calls = []
+        entropy = specfn.binary_entropy
+        monkeypatch.setattr(specfn, "binary_entropy", lambda p: calls.append(p) or entropy(p))
+        got = bss._inverse_entropy_array(np.array(targets)).tolist()
+        monkeypatch.setattr(specfn, "binary_entropy", entropy)
+        assert got == [specfn.inverse_binary_entropy(r) for r in targets]
+        assert set(mids) <= set(calls)
+
+    def test_distortion_rate_array_matches_scalar(self):
+        np = pytest.importorskip("numpy")
+        rng = np.random.default_rng(6)
+        rates = np.concatenate([
+            rng.random(4000),
+            rng.random(1000) * 1e-6,
+            [0.0, 1e-17, 2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.5],
+        ])
+        got = bss._distortion_rate_array(rates).tolist()
+        assert got == [specfn.bss_distortion_rate(r) for r in rates.tolist()]
+        with pytest.raises(ValueError):
+            bss._distortion_rate_array(np.array([0.5, -1e-300]))
+
+    def test_invariant_violation_raises(self, monkeypatch):
+        # a transcription bug that inflates distortions past 1/2 must not pass
+        monkeypatch.setattr(bss, "_distortion_rate_array", lambda rate: 1.0 + 0.0 * rate)
+        with pytest.raises(AssertionError, match="distortions out of order"):
+            bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5)
+
+    def test_mesh_budget_refuses_before_allocating(self):
+        with pytest.raises(specfn.BudgetError):
+            bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 1449)
+        with pytest.raises(specfn.BudgetError):
+            bss.sweep_layered(CH, Scheme.BROADCAST, bss.MESH_CAP + 1)
+        assert 1025**2 <= bss.MESH_CAP < 1449**2
+
+    def test_budget_error_is_shared_with_montecarlo(self):
+        from composite_coder import montecarlo
+
+        assert montecarlo.BudgetError is specfn.BudgetError
+
+    @pytest.mark.parametrize("point", [_ARRAY_POINTS[0], _ARRAY_POINTS[-1], _LOSSLESS_POINT])
+    def test_hull_equals_hull_of_all_points(self, point):
+        ch = _channel(*point)
+        for family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
+            sweep = bss.sweep_layered(ch, family, 33)
+            evals = sweep.evaluations()
+            hull = specfn.pareto_lower_hull([(e.d1, e.d2) for e in evals])
+            assert sweep.hull() == hull
+            # each vertex's parameters are those of its first point in sweep order
+            first = {}
+            for e in evals:
+                first.setdefault((e.d1, e.d2), e.params)
+            assert bss._hull_with_params(sweep) == [(x, y, first[(x, y)]) for x, y in hull]
+
+    def test_hull_dominates_array_matches_scalar(self):
+        np = pytest.importorskip("numpy")
+        sweep = bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 17)
+        hull = sweep.hull()
+        rng = np.random.default_rng(11)
+        x = np.concatenate([sweep.d1, rng.random(500) * 0.6 - 0.05, [hull[0][0], hull[-1][0]]])
+        y = np.concatenate([sweep.d2, rng.random(500) * 0.6 - 0.05, [hull[0][1], hull[-1][1]]])
+        for slack in (0.0, 1e-9, -1e-9):
+            got = bss.hull_dominates_array(hull, x, y, slack).tolist()
+            want = [specfn.hull_dominates(hull, p, slack) for p in zip(x.tolist(), y.tolist())]
+            assert got == want
+        single = [hull[0]]
+        got = bss.hull_dominates_array(single, x, y).tolist()
+        assert got == [specfn.hull_dominates(single, p) for p in zip(x.tolist(), y.tolist())]

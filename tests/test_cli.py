@@ -1,12 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 
+import composite_coder
 from composite_coder import cli, specfn
 
 
@@ -187,11 +195,73 @@ class TestConfigHandling:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bss-region", "--p", "1.5", "--grid", "5"],
+            ["bss-frontier", "--p-grid", "0,2", "--grid", "5"],
+            ["bss-frontier", "--p", "-0.5", "--grid", "5"],
+            ["bss-interface", "--p-grid=-1,0.5", "--grid", "5"],
+        ],
+    )
+    def test_bss_probability_out_of_range_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: bad-state probability" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian-compare", "--gamma-bar", "1e-200", "--p-grid", "1e-200,1"],
+            ["gaussian-compare", "--gamma-bar", "1e200", "--p-grid", "1e200,1"],
+            ["gaussian-compare", "--p-grid", "1,1e-320"],
+        ],
+    )
+    def test_snr_product_outside_normal_range_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "P*gamma_bar" in err and "not a positive normal float" in err
+
+    @pytest.mark.parametrize("command", ["bss-region", "bss-frontier", "bss-interface"])
+    def test_analytic_sweep_budget(self, command, capsys):
+        # refused before any mesh array exists: the whole call stays under 1 MiB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli([command, "--grid", "100000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert "budget error" in err
+        assert peak < 2**20
+
     def test_numeric_error_exit_code(self, capsys):
         # a sweep that includes power 0 fails model validation at run time
         code, _, err = run_cli(["gaussian-compare", "--p-grid", "0:1:3"], capsys)
         assert code == 3
         assert "numeric error" in err
+
+
+class TestImports:
+    def test_cli_import_and_gaussian_commands_leave_numpy_out(self):
+        src = str(Path(composite_coder.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import contextlib, io, sys\n"
+            "from composite_coder import cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['gaussian-compare']) == 0\n"
+            "    assert cli.main(['selfcheck']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'run'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGaussianCompare:
@@ -315,3 +385,43 @@ class TestSelfcheck:
         code, out, _ = run_cli(["selfcheck"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+
+# sha256 of stdout, computed with the scalar per-point sweeps that the array
+# core replaced; every bss-* table must keep these bytes
+_POINTS = {
+    "reference": ["--alpha1", "0.25", "--alpha2", "0.45", "--b", "2", "--p", "0.5"],
+    "near": ["--alpha1", "0.2", "--alpha2", "0.35", "--b", "1.8", "--p", "0.3"],
+    "lossless": ["--alpha1", "0.05", "--alpha2", "0.3", "--b", "2.2", "--p", "0.8"],
+}
+_TABLES = {
+    "region-csv": ["bss-region", "--grid", "9"],
+    "region-json": ["bss-region", "--grid", "17", "--format", "json"],
+    "frontier": ["bss-frontier", "--grid", "9", "--p-grid", "0:1:21"],
+    "interface": ["bss-interface", "--grid", "9"],
+}
+_PINNED_SHA256 = {
+    ("reference", "region-csv"): "15da0f0a5fe044ab895c7ec792175a4b855b74944a4ff7afd55ac71af5bb1e4a",
+    ("reference", "region-json"): "11f7aa9a3b3a5bb8e21aedcfab417356e1891a46fe8f8da5c9ea298f1fe2ab77",
+    ("reference", "frontier"): "7efb6b878fd84422c0c73595605a935ed8102283a6da9d0810a1bf8b39804e73",
+    ("reference", "interface"): "335bbb1995aa6e530be2cc72d764f5c26a3be4a46f7204553679584093f323e7",
+    ("near", "region-csv"): "92ee48d00be2a13af139f0600d83b51f98816bc2935de698d721159dc3197189",
+    ("near", "region-json"): "0c21942436fd14f4a7d074c60eaafe11fb43545eafd36ecadc1a90f11e8e0f5f",
+    ("near", "frontier"): "d27891b1f40a3676cd2c139c04f5e20377f064812cbd4066c6891717344ee22a",
+    ("near", "interface"): "fe484ca34f836edc80c018ba2dfb9bd95ec8b60effa2a002a0accde1ce16aa26",
+    ("lossless", "region-csv"): "8b96b3787a12c426c6c7dd8f106ba18eb6ea150a8b0de65071ce14d8d08a08bf",
+    ("lossless", "region-json"): "054965271da23199b1bc6410843235d153552c6259e76d7f2631ded65cb697a7",
+    ("lossless", "frontier"): "e44eea10b257b5db764884806f7b636f197a9cc0ec9f82fb4cb1373cc8ff7f84",
+    ("lossless", "interface"): "3b92066169e0587af8cb3bfad879fded84149744ea7951e77ed6a01174327cff",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("point, table", sorted(_PINNED_SHA256))
+    def test_bss_table_bytes(self, point, table, capsys):
+        with warnings.catch_warnings():
+            # the lossless point warns that it leaves the lossy regime
+            warnings.simplefilter("ignore")
+            code, out, _ = run_cli(_TABLES[table] + _POINTS[point], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SHA256[(point, table)]

@@ -309,3 +309,44 @@ class TestHullDominates:
         assert specfn.hull_dominates(hull, (0.5, 0.5))
         assert specfn.hull_dominates(hull, (0.5, 0.5 - 1e-13), slack=1e-12)
         assert not specfn.hull_dominates(hull, (0.5, 0.4))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-0.5, max_value=1.5),
+                st.floats(min_value=-0.5, max_value=1.5),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sampled_from([0.0, 1e-9, -1e-9, 1e-12]),
+    )
+    @settings(max_examples=300)
+    def test_bisection_matches_linear_scan(self, points, probes, slack):
+        hull = specfn.pareto_lower_hull(points)
+        # the hull's own vertices hit segment ends exactly
+        for p in probes + hull + points:
+            assert specfn.hull_dominates(hull, p, slack) == _hull_dominates_linear(hull, p, slack)
+
+
+def _hull_dominates_linear(hull, point, slack=0.0):
+    """The linear segment scan that hull_dominates replaced by bisection."""
+    px, py = point
+    reach = px + slack
+    if reach < hull[0][0]:
+        return False
+    if reach >= hull[-1][0]:
+        return hull[-1][1] <= py + slack
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        if x0 <= reach < x1:
+            t = (reach - x0) / (x1 - x0)
+            return y0 + t * (y1 - y0) <= py + slack
+    return hull[-1][1] <= py + slack
