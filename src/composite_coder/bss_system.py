@@ -19,15 +19,20 @@ Distortion regions are convex hulls of swept parameter families, so the
 frontier and region computations include time sharing.  All rates here are
 in bits per channel use and all distortions are Hamming fractions.
 
+Every family reaches its callers as a ``LayeredSweep`` struct of arrays.
+``sweep_family`` is the one registry: it sweeps broadcast and residue
+splitting as meshes and wraps each other family as the one-point sweep of
+its scalar evaluator; ``sweep_families`` sweeps several, residue splitting
+first.  Regions, frontiers and interface tables are then one code path.
+
 The two layered families are swept as arrays: ``sweep_layered`` evaluates a
 whole (beta, rho) mesh with numpy (imported on first use, so importing this
-module does not load numpy) and returns a ``LayeredSweep`` struct of arrays.
-Its values equal the scalar evaluators' bit for bit: the mesh arithmetic
-keeps their operation order, and the entropy inverse repeats the scalar
-bisection decision for decision (see ``_inverse_entropy_array``).  The
-scalar ``broadcast_scheme``/``residue_splitting_scheme`` stay the per-point
-API and the reference the array core is tested against.  A sweep holds at
-most MESH_CAP points; a larger one raises ``specfn.BudgetError`` before any
+module does not load numpy).  Its values equal the scalar evaluators' bit
+for bit: the mesh arithmetic keeps their operation order, and the entropy
+inverse repeats the scalar bisection decision for decision (see
+``_inverse_entropy_array``).  The scalar evaluators stay the per-point API
+and the reference the array core is tested against.  A sweep holds at most
+MESH_CAP points; a larger one raises ``specfn.BudgetError`` before any
 array is allocated.
 """
 
@@ -47,6 +52,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Scheme",
+    "COMPARED_FAMILIES",
     "SchemeEvaluation",
     "LayeredSweep",
     "WynerZivCurve",
@@ -64,9 +70,9 @@ __all__ = [
     "systematic_scheme_bad",
     "residue_splitting_scheme",
     "sweep_layered",
+    "sweep_family",
+    "sweep_families",
     "hull_dominates_array",
-    "sweep_broadcast",
-    "sweep_residue_splitting",
     "distortion_region",
     "best_expected_distortion",
     "expected_distortion_frontier",
@@ -98,6 +104,14 @@ class Scheme(str, Enum):
     SYSTEMATIC_BAD = "systematic_bad"
     RESIDUE_SPLITTING = "residue_splitting"
 
+
+# the four families the paper compares, in the column order of its tables
+COMPARED_FAMILIES = (
+    Scheme.BROADCAST,
+    Scheme.RESIDUE_SPLITTING,
+    Scheme.SYSTEMATIC_GOOD,
+    Scheme.SYSTEMATIC_BAD,
+)
 
 @dataclass(frozen=True)
 class SchemeEvaluation:
@@ -272,11 +286,13 @@ def residue_splitting_scheme(ch: CompositeBsc, beta: float, rho: float) -> Schem
 
 @dataclass(frozen=True, eq=False)
 class LayeredSweep:
-    """One layered family evaluated on a (beta, rho) mesh, as a struct of arrays.
+    """One scheme family evaluated at the points of its sweep, as a struct of arrays.
 
     Element i is the point (beta[i], rho[i]); d1, d2, expected, kt and kr
-    equal the fields of ``broadcast_scheme``/``residue_splitting_scheme`` at
-    that point exactly.  Broadcast sweeps have rho = 0 throughout.
+    equal the fields of the family's scalar evaluator at that point exactly.
+    ``names`` are the coordinates that are SchemeEvaluation params, and
+    ``fixed`` the params every point shares.  Broadcast sweeps have rho = 0
+    throughout; a coordinate a family lacks is NaN.
     """
 
     scheme: Scheme
@@ -287,21 +303,22 @@ class LayeredSweep:
     expected: np.ndarray
     kt: np.ndarray
     kr: np.ndarray
+    names: tuple[str, ...]
+    fixed: dict[str, float] = field(default_factory=dict)
 
     def params(self, i: int) -> dict[str, float]:
         """The SchemeEvaluation params of point i."""
-        if self.scheme == Scheme.BROADCAST:
-            return {"beta": float(self.beta[i])}
-        return {"beta": float(self.beta[i]), "rho": float(self.rho[i])}
+        return {**{n: float(getattr(self, n)[i]) for n in self.names}, **self.fixed}
 
-    def param_columns(self) -> tuple[list[float], list[float | None]]:
-        """beta and rho per point as table cells; broadcast has no rho cell.
+    def param_columns(self) -> tuple[list[float | None], list[float | None]]:
+        """beta and rho per point as table cells, None where they are not params.
 
-        The cells share one float object per grid value, as the scalar
-        sweeps' parameter dicts did, instead of one per point.
+        A (beta, rho) mesh's cells share one float object per grid value, as
+        the scalar sweeps' parameter dicts did, instead of one per point.
         """
-        if self.scheme == Scheme.BROADCAST:
-            return self.beta.tolist(), [None] * self.beta.size
+        if "rho" not in self.names:
+            none = [None] * self.beta.size
+            return (self.beta.tolist() if "beta" in self.names else none), none
         grid = math.isqrt(self.beta.size)
         betas, rhos = self.beta[::grid].tolist(), self.rho[:grid].tolist()
         return [beta for beta in betas for _ in rhos], rhos * grid
@@ -428,7 +445,8 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
         )
     if (kt < 0.0).any() or (kr < 0.0).any():
         raise AssertionError(f"negative interface complexity for {family}")
-    return LayeredSweep(family, beta, rho, big_d1, big_d2, expected, kt, kr)
+    names = ("beta",) if family == Scheme.BROADCAST else ("beta", "rho")
+    return LayeredSweep(family, beta, rho, big_d1, big_d2, expected, kt, kr, names)
 
 
 def hull_dominates_array(
@@ -521,22 +539,41 @@ def systematic_scheme_bad(ch: CompositeBsc) -> SchemeEvaluation:
     )
 
 
-def sweep_broadcast(ch: CompositeBsc, grid: int) -> list[SchemeEvaluation]:
-    """Broadcast evaluations on a uniform beta grid over [0, 1/2]."""
-    return sweep_layered(ch, Scheme.BROADCAST, grid).evaluations()
+def sweep_family(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
+    """Any scheme family as a ``LayeredSweep``: the one registry of families.
+
+    Broadcast and residue splitting are swept on ``grid`` by ``sweep_layered``;
+    each other family is the one-point sweep of its scalar evaluator.
+    """
+    evaluate = {
+        Scheme.SHANNON: shannon_scheme,
+        Scheme.OUTAGE: outage_scheme,
+        Scheme.SYSTEMATIC_GOOD: systematic_scheme_good,
+        Scheme.SYSTEMATIC_BAD: systematic_scheme_bad,
+    }.get(family)
+    if evaluate is None:
+        return sweep_layered(ch, family, grid)
+    import numpy as np
+
+    e = evaluate(ch)
+    names = tuple(n for n in ("beta", "rho") if n in e.params)
+    fixed = {n: v for n, v in e.params.items() if n not in names}
+    coordinates = (e.params.get("beta", math.nan), e.params.get("rho", math.nan))
+    columns = (np.array([v]) for v in (*coordinates, e.d1, e.d2, e.expected, e.kt, e.kr))
+    return LayeredSweep(family, *columns, names, fixed)
 
 
-def sweep_residue_splitting(ch: CompositeBsc, grid: int) -> list[SchemeEvaluation]:
-    """Residue-splitting evaluations on a uniform (beta, rho) grid."""
-    return sweep_layered(ch, Scheme.RESIDUE_SPLITTING, grid).evaluations()
+def sweep_families(
+    ch: CompositeBsc, grid: int, families: Sequence[Scheme]
+) -> dict[Scheme, LayeredSweep]:
+    """``sweep_family`` of each family, keyed in the order given.
 
-
-_SINGLETON_FAMILIES = {
-    Scheme.SHANNON: shannon_scheme,
-    Scheme.OUTAGE: outage_scheme,
-    Scheme.SYSTEMATIC_GOOD: systematic_scheme_good,
-    Scheme.SYSTEMATIC_BAD: systematic_scheme_bad,
-}
+    Residue splitting is swept first: its mesh is the one the work budget
+    can refuse, and it is refused before any other work is done.
+    """
+    first = sorted(families, key=lambda f: f != Scheme.RESIDUE_SPLITTING)
+    sweeps = {family: sweep_family(ch, family, grid) for family in first}
+    return {family: sweeps[family] for family in families}
 
 
 def distortion_region(
@@ -544,13 +581,10 @@ def distortion_region(
 ) -> list[tuple[float, float]]:
     """Achievable (d1, d2) region boundary of a scheme family.
 
-    Parametric families are swept on the given grid and closed under time
-    sharing (convex hull); the systematic families are single points.
+    The family is swept on the given grid and closed under time sharing
+    (convex hull); a one-point family's region is its point.
     """
-    if family in _SINGLETON_FAMILIES:
-        e = _SINGLETON_FAMILIES[family](ch)
-        return [(e.d1, e.d2)]
-    return sweep_layered(ch, family, grid).hull()
+    return sweep_family(ch, family, grid).hull()
 
 
 def _hull_with_params(sweep: LayeredSweep) -> list[tuple[float, float, dict[str, float]]]:
@@ -559,27 +593,30 @@ def _hull_with_params(sweep: LayeredSweep) -> list[tuple[float, float, dict[str,
     ]
 
 
+def _best_vertex(
+    vertices: Sequence[tuple[float, float, dict[str, float]]], p: float
+) -> tuple[float, dict[str, float]]:
+    """The minimum of (1-p)*d1 + p*d2 over hull vertices, and the first minimizer's params."""
+    best_val, best_params = math.inf, {}
+    for d1, d2, params in vertices:
+        val = (1.0 - p) * d1 + p * d2
+        if val < best_val:
+            best_val, best_params = val, params
+    return best_val, dict(best_params)
+
+
 def best_expected_distortion(
     ch: CompositeBsc, family: Scheme, p: float, grid: int
 ) -> tuple[float, dict[str, float]]:
     """Minimum expected distortion of a family at bad-state probability p.
 
     The expectation (1-p)*d1 + p*d2 is linear, so over the time-sharing
-    closure it is minimized at a hull vertex; singleton families evaluate
-    directly.  Returns (expected distortion, parameters of the minimizer).
+    closure it is minimized at a hull vertex.  Returns (expected distortion,
+    parameters of the minimizer).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"state probability must lie in [0, 1], got {p}")
-    if family in _SINGLETON_FAMILIES:
-        e = _SINGLETON_FAMILIES[family](ch)
-        return (1.0 - p) * e.d1 + p * e.d2, dict(e.params)
-    hull = _hull_with_params(sweep_layered(ch, family, grid))
-    best_val, best_params = math.inf, {}
-    for d1, d2, params in hull:
-        val = (1.0 - p) * d1 + p * d2
-        if val < best_val:
-            best_val, best_params = val, params
-    return best_val, dict(best_params)
+    return _best_vertex(_hull_with_params(sweep_family(ch, family, grid)), p)
 
 
 @dataclass(frozen=True)
@@ -604,6 +641,8 @@ class FrontierResult:
     crossovers: list[Crossover]
 
 
+# The frontier's families in tie-break order: residue splitting contains
+# broadcast at rho = 0, so it wins the exact ties between the two.
 _FRONTIER_FAMILIES = (
     Scheme.RESIDUE_SPLITTING,
     Scheme.SYSTEMATIC_GOOD,
@@ -617,40 +656,24 @@ def expected_distortion_frontier(
 ) -> FrontierResult:
     """Best scheme per bad-state probability, with refined crossover points.
 
-    Parametric families are swept once (their hulls do not depend on p);
-    per-p minimization is then a scan over hull vertices.  Wherever the
+    Each family is swept once (its hull does not depend on p); per-p
+    minimization is then a scan over hull vertices.  Wherever the
     winning family changes between consecutive grid probabilities, the
     crossover is refined by bisecting the difference of the two families'
     best expected distortions to 1e-4.
     """
-    # residue splitting first: its mesh is the one a work budget can refuse
-    hulls: dict[Scheme, list[tuple[float, float, dict[str, float]]]] = {
-        fam: _hull_with_params(sweep_layered(ch, fam, grid))
-        for fam in (Scheme.RESIDUE_SPLITTING, Scheme.BROADCAST)
+    hulls = {
+        fam: _hull_with_params(sweep)
+        for fam, sweep in sweep_families(ch, grid, _FRONTIER_FAMILIES).items()
     }
-    singles = {
-        fam: _SINGLETON_FAMILIES[fam](ch)
-        for fam in (Scheme.SYSTEMATIC_GOOD, Scheme.SYSTEMATIC_BAD)
-    }
-
-    def family_best(fam: Scheme, p: float) -> tuple[float, dict[str, float]]:
-        if fam in singles:
-            e = singles[fam]
-            return (1.0 - p) * e.d1 + p * e.d2, dict(e.params)
-        best_val, best_params = math.inf, {}
-        for d1, d2, params in hulls[fam]:
-            val = (1.0 - p) * d1 + p * d2
-            if val < best_val:
-                best_val, best_params = val, params
-        return best_val, dict(best_params)
 
     points: list[FrontierPoint] = []
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"state probability must lie in [0, 1], got {p}")
-        best = {fam: family_best(fam, p) for fam in _FRONTIER_FAMILIES}
+        best = {fam: _best_vertex(vertices, p) for fam, vertices in hulls.items()}
         per_family = {fam: value for fam, (value, _) in best.items()}
-        winner = min(_FRONTIER_FAMILIES, key=lambda f: per_family[f])
+        winner = min(per_family, key=per_family.get)  # the first in tie-break order
         points.append(
             FrontierPoint(
                 p=p,
@@ -668,7 +691,7 @@ def expected_distortion_frontier(
         fam_a, fam_b = left.scheme, right.scheme
 
         def gap(p: float) -> float:
-            return family_best(fam_a, p)[0] - family_best(fam_b, p)[0]
+            return _best_vertex(hulls[fam_a], p)[0] - _best_vertex(hulls[fam_b], p)[0]
 
         lo, hi = left.p, right.p
         if gap(lo) < 0.0 <= gap(hi):
@@ -715,22 +738,7 @@ def interface_tradeoff(
     series are lower staircases sorted by complexity.
     """
     ch_at_p = CompositeBsc(alpha1=ch.alpha1, alpha2=ch.alpha2, p=p, b=ch.b)
-    # residue splitting first, as in expected_distortion_frontier
-    sweeps = {
-        fam: sweep_layered(ch_at_p, fam, grid)
-        for fam in (Scheme.RESIDUE_SPLITTING, Scheme.BROADCAST)
+    return {
+        fam: interface_staircases(s.kt.tolist(), s.kr.tolist(), s.expected.tolist())
+        for fam, s in sweep_families(ch_at_p, grid, COMPARED_FAMILIES).items()
     }
-    result: dict[Scheme, dict[str, list[tuple[float, float]]]] = {}
-    for family in (
-        Scheme.BROADCAST,
-        Scheme.RESIDUE_SPLITTING,
-        Scheme.SYSTEMATIC_GOOD,
-        Scheme.SYSTEMATIC_BAD,
-    ):
-        if family in sweeps:
-            s = sweeps[family]
-            result[family] = interface_staircases(s.kt.tolist(), s.kr.tolist(), s.expected.tolist())
-        else:
-            e = _SINGLETON_FAMILIES[family](ch_at_p)
-            result[family] = interface_staircases([e.kt], [e.kr], [e.expected])
-    return result

@@ -66,7 +66,7 @@ class CompositeBsc:
             warnings.warn(
                 "good state supports lossless transmission; the lossy-regime "
                 "analysis assumes b*(1 - h(alpha1)) < 1",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__, to the caller
             )
 
 

@@ -20,7 +20,8 @@ metadata carries a canonical parameter string and its hash, never a
 timestamp.
 
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
-3 numeric error, 4 work budget error (Monte Carlo or analytic sweep).
+3 numeric error, 4 work budget error (Monte Carlo, analytic sweep or
+--p-grid length).  Warnings print as one ``warning: ...`` line each on stderr.
 
 Importing this module does not import numpy: the ``bss-*`` commands load it
 through the array core of ``bss_system``, and ``mc`` with ``montecarlo``.
@@ -33,6 +34,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +46,8 @@ EXIT_SELFCHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
+
+SWEEP_CAP = 2**20  # --p-grid points: the row count of a grid-1025 region
 
 _NUMERIC_ERRORS = (
     specfn.ConvergenceError,
@@ -153,6 +157,11 @@ def _metadata(cfg: RunConfig, extra: Optional[dict[str, str]] = None) -> dict[st
     return meta
 
 
+def _check_sweep_length(n: int) -> None:
+    if n > SWEEP_CAP:
+        raise specfn.BudgetError(f"sweep of {n} points is over the cap of {SWEEP_CAP}")
+
+
 def _parse_grid_spec(text: str) -> list[float]:
     """Either 'lo:hi:n' or a comma-separated list of values."""
     text = text.strip()
@@ -168,8 +177,10 @@ def _parse_grid_spec(text: str) -> list[float]:
             raise ConfigError(f"bad grid spec {text!r}") from exc
         if n < 2 or hi <= lo:
             raise ConfigError(f"grid spec needs hi > lo and n >= 2, got {text!r}")
+        _check_sweep_length(n)
         step = (hi - lo) / (n - 1)
         return [lo + i * step for i in range(n)]
+    _check_sweep_length(text.count(",") + 1)
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -209,27 +220,19 @@ def _bsc(cfg: RunConfig) -> channels.CompositeBsc:
 
 
 def cmd_bss_region(cfg: RunConfig) -> FigureTable:
-    ch = _bsc(cfg)
-    residue = bss_system.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, cfg.grid)
-    broadcast = bss_system.sweep_layered(ch, Scheme.BROADCAST, cfg.grid)
+    families = (Scheme.SHANNON, Scheme.OUTAGE, *bss_system.COMPARED_FAMILIES)
+    sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, families)
     # the last cell, on_hull, is filled in below
-    rows: list[list[object]] = [
-        [e.scheme.value, e.params.get("beta"), e.params.get("rho"), e.d1, e.d2, 0]
-        for e in (bss_system.shannon_scheme(ch), bss_system.outage_scheme(ch))
-    ]
-    for sweep in (broadcast, residue):
+    rows: list[list[object]] = []
+    for sweep in sweeps.values():
         beta, rho = sweep.param_columns()
         scheme = sweep.scheme.value
         rows.extend(
             [scheme, be, ro, d1, d2, 0]
             for be, ro, d1, d2 in zip(beta, rho, sweep.d1.tolist(), sweep.d2.tolist())
         )
-    rows.extend(
-        [e.scheme.value, None, None, e.d1, e.d2, 0]
-        for e in (bss_system.systematic_scheme_good(ch), bss_system.systematic_scheme_bad(ch))
-    )
     # a row is on the hull when the hull dominates it within 1e-9 but not by 1e-9
-    hull = residue.hull()
+    hull = sweeps[Scheme.RESIDUE_SPLITTING].hull()
     d1s, d2s = [row[3] for row in rows], [row[4] for row in rows]
     near = bss_system.hull_dominates_array(hull, d1s, d2s, slack=1e-9)
     strictly = bss_system.hull_dominates_array(hull, d1s, d2s, slack=-1e-9)
@@ -247,14 +250,7 @@ def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
     ch = _bsc(cfg)
     frontier = bss_system.expected_distortion_frontier(ch, cfg.p_grid, grid=cfg.grid)
     rows: list[list[object]] = [
-        [
-            pt.p,
-            pt.family_expected[Scheme.BROADCAST],
-            pt.family_expected[Scheme.RESIDUE_SPLITTING],
-            pt.family_expected[Scheme.SYSTEMATIC_GOOD],
-            pt.family_expected[Scheme.SYSTEMATIC_BAD],
-            pt.scheme.value,
-        ]
+        [pt.p, *(pt.family_expected[f] for f in bss_system.COMPARED_FAMILIES), pt.scheme.value]
         for pt in frontier.points
     ]
     extra = {
@@ -269,20 +265,15 @@ def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
 
 
 def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
-    ch = _bsc(cfg)
-    residue = bss_system.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, cfg.grid)
-    broadcast = bss_system.sweep_layered(ch, Scheme.BROADCAST, cfg.grid)
+    sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, bss_system.COMPARED_FAMILIES)
     rows: list[list[object]] = []
     stairs: dict[Scheme, dict[str, list[tuple[float, float]]]] = {}
-    for sweep in (broadcast, residue):
+    for sweep in sweeps.values():
         beta, rho = sweep.param_columns()
         kt, kr, de = sweep.kt.tolist(), sweep.kr.tolist(), sweep.expected.tolist()
         scheme = sweep.scheme.value
         rows.extend([scheme, *cells] for cells in zip(beta, rho, kt, kr, de))
         stairs[sweep.scheme] = bss_system.interface_staircases(kt, kr, de)
-    for e in (bss_system.systematic_scheme_good(ch), bss_system.systematic_scheme_bad(ch)):
-        rows.append([e.scheme.value, None, None, e.kt, e.kr, e.expected])
-        stairs[e.scheme] = bss_system.interface_staircases([e.kt], [e.kr], [e.expected])
     for family, sides in stairs.items():
         for k, de in sides["kt"]:
             rows.append([f"{family.value}:stair-kt", None, None, k, None, de])
@@ -648,14 +639,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     if args.command == "selfcheck":
         return run_selfcheck()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(args)
+    # one clean stderr line per distinct warning, in place of the source-located default
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        table = _COMMANDS[cfg.command](cfg)
-        _emit(table, cfg)
+        _emit(_COMMANDS[cfg.command](cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -169,14 +169,14 @@ class TestBroadcastScheme:
         assert e.expected == (1.0 - CH.p) * e.d1 + CH.p * e.d2
 
     def test_monotone_in_beta(self):
-        evals = bss.sweep_broadcast(CH, 101)
+        evals = bss.sweep_layered(CH, Scheme.BROADCAST, 101).evaluations()
         for a, b in zip(evals, evals[1:]):
             assert a.d1 >= b.d1 - 1e-12
             assert a.d2 <= b.d2 + 1e-12
             assert a.kt <= b.kt + 1e-12
 
     def test_receiver_interface_no_larger(self):
-        for e in bss.sweep_broadcast(CH, 51):
+        for e in bss.sweep_layered(CH, Scheme.BROADCAST, 51).evaluations():
             assert e.kr <= e.kt + 1e-12
 
 
@@ -346,6 +346,13 @@ class TestFrontier:
         with pytest.raises(ValueError):
             bss.expected_distortion_frontier(CH, [1.2], grid=17)
 
+    def test_exact_residue_broadcast_tie_names_residue_splitting(self):
+        # at p = 0 both families reach the outage point (residue splitting at rho = 0)
+        (pt,) = bss.expected_distortion_frontier(CH, [0.0], grid=33).points
+        tie = pt.family_expected[Scheme.RESIDUE_SPLITTING]
+        assert tie == pt.family_expected[Scheme.BROADCAST] == pt.expected
+        assert pt.scheme == Scheme.RESIDUE_SPLITTING
+
 
 class TestInterfaceTradeoff:
     def test_staircases_nonincreasing(self):
@@ -361,15 +368,16 @@ class TestInterfaceTradeoff:
         ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.7, b=2.0)
         sg = bss.systematic_scheme_good(ch)
         competitors = (
-            bss.sweep_broadcast(ch, 65)
-            + bss.sweep_residue_splitting(ch, 33)
+            bss.sweep_layered(ch, Scheme.BROADCAST, 65).evaluations()
+            + bss.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, 33).evaluations()
             + [bss.systematic_scheme_bad(ch)]
         )
         assert all(sg.expected < e.expected for e in competitors)
         assert all(sg.kt > e.kt for e in competitors)
 
     def test_broadcast_distortion_not_monotone_in_complexity(self):
-        evals = bss.sweep_broadcast(CompositeBsc(0.25, 0.45, 0.7, 2.0), 101)
+        ch = CompositeBsc(0.25, 0.45, 0.7, 2.0)
+        evals = bss.sweep_layered(ch, Scheme.BROADCAST, 101).evaluations()
         des = [e.expected for e in evals]  # kt increases along the sweep
         drops = any(a > b for a, b in zip(des, des[1:]))
         rises = any(a < b for a, b in zip(des, des[1:]))
@@ -417,22 +425,22 @@ class TestArrayCore:
         sweep = bss.sweep_layered(_channel(*_LOSSLESS_POINT), Scheme.RESIDUE_SPLITTING, 17)
         assert (sweep.d1 == 0.0).any()
 
-    def test_sweep_wrappers_keep_grid_order_and_params(self):
-        evals = bss.sweep_residue_splitting(CH, 5)
+    def test_evaluations_keep_grid_order_and_params(self):
+        evals = bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5).evaluations()
         assert [tuple(e.params.values()) for e in evals[:6]] == [
             (0.0, 0.0), (0.0, 0.25 * bss.RHO_MAX), (0.0, 0.5 * bss.RHO_MAX),
             (0.0, 0.75 * bss.RHO_MAX), (0.0, bss.RHO_MAX), (0.125, 0.0),
         ]
         assert evals[7] == bss.residue_splitting_scheme(CH, 0.125, 0.5 * bss.RHO_MAX)
-        assert [e.params for e in bss.sweep_broadcast(CH, 3)] == [
+        assert [e.params for e in bss.sweep_layered(CH, Scheme.BROADCAST, 3).evaluations()] == [
             {"beta": 0.0}, {"beta": 0.25}, {"beta": 0.5},
         ]
 
-    @pytest.mark.parametrize("family", [Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING])
+    @pytest.mark.parametrize("family", list(Scheme))
     def test_param_columns_match_params(self, family):
-        sweep = bss.sweep_layered(CH, family, 7)
+        sweep = bss.sweep_family(CH, family, 7)
         beta, rho = sweep.param_columns()
-        assert beta == [e.params["beta"] for e in sweep.evaluations()]
+        assert beta == [e.params.get("beta") for e in sweep.evaluations()]
         assert rho == [e.params.get("rho") for e in sweep.evaluations()]
 
     def test_scalar_inverse_halves_the_same_number_of_times(self, monkeypatch):
@@ -517,3 +525,54 @@ class TestArrayCore:
         single = [hull[0]]
         got = bss.hull_dominates_array(single, x, y).tolist()
         assert got == [specfn.hull_dominates(single, p) for p in zip(x.tolist(), y.tolist())]
+
+
+_THETA_POINT = (0.2, 0.3, 2.0)  # systematic_bad time-shares past the turning point
+_POINT_EVALUATORS = {
+    Scheme.SHANNON: bss.shannon_scheme,
+    Scheme.OUTAGE: bss.outage_scheme,
+    Scheme.SYSTEMATIC_GOOD: bss.systematic_scheme_good,
+    Scheme.SYSTEMATIC_BAD: bss.systematic_scheme_bad,
+}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("point", _ARRAY_POINTS + [_LOSSLESS_POINT, _THETA_POINT])
+    def test_point_families_equal_scalar_evaluators(self, point):
+        ch = _channel(*point)
+        for family, scalar in _POINT_EVALUATORS.items():
+            e = scalar(ch)
+            sweep = bss.sweep_family(ch, family, 33)
+            (got,) = sweep.evaluations()
+            assert (got.scheme, _fields(got), got.params) == (family, _fields(e), e.params)
+            assert sweep.param_columns() == ([e.params.get("beta")], [None])
+
+    def test_theta_point_reports_theta(self):
+        ch = _channel(*_THETA_POINT)
+        params = bss.sweep_family(ch, Scheme.SYSTEMATIC_BAD, 2).params(0)
+        assert set(params) == {"theta"}
+        assert params == bss.systematic_scheme_bad(ch).params
+
+    @pytest.mark.parametrize("family", list(Scheme))
+    def test_region_and_best_accept_every_family(self, family):
+        sweep = bss.sweep_family(CH, family, 17)
+        assert bss.distortion_region(CH, family, 17) == sweep.hull()
+        evals = sweep.evaluations()
+        for p in (0.0, 0.37, 1.0):
+            value, params = bss.best_expected_distortion(CH, family, p, 17)
+            best = min((1.0 - p) * e.d1 + p * e.d2 for e in evals)
+            assert value == pytest.approx(best, abs=1e-15)
+            assert params in [e.params for e in evals]
+
+    def test_families_keep_the_given_order(self):
+        families = (Scheme.SYSTEMATIC_BAD, Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING)
+        sweeps = bss.sweep_families(CH, 5, families)
+        assert tuple(sweeps) == families
+        assert all(sweeps[f].scheme == f for f in families)
+
+    def test_residue_splitting_budget_refuses_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bss, "systematic_scheme_good", lambda ch: calls.append(ch))
+        with pytest.raises(specfn.BudgetError):
+            bss.sweep_families(CH, 1449, (Scheme.SYSTEMATIC_GOOD, Scheme.RESIDUE_SPLITTING))
+        assert calls == []

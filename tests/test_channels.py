@@ -28,8 +28,10 @@ class TestTypes:
             CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.5, b=0.5)
 
     def test_bsc_lossless_regime_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             CompositeBsc(alpha1=0.05, alpha2=0.45, p=0.5, b=2.0)
+        # the warning names the line that built the channel
+        assert record[0].filename == __file__
 
     def test_rayleigh_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -13,6 +14,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composite_coder
 from composite_coder import cli, specfn
@@ -238,11 +241,101 @@ class TestConfigHandling:
         assert "budget error" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bss-frontier", "--grid", "3", "--p-grid", f"0:1:{cli.SWEEP_CAP + 1}"],
+            ["bss-frontier", "--grid", "3", "--p-grid", "0:1:100000000"],
+            ["gaussian-compare", "--p-grid", f"1:2:{cli.SWEEP_CAP + 1}"],
+            ["gaussian-compare", "--p-grid", "1," * cli.SWEEP_CAP + "2"],
+        ],
+    )
+    def test_sweep_length_budget(self, argv, capsys):
+        # refused from the point count, before any sweep list is built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("budget error: sweep of ")
+        assert peak < 2**20
+
+    def test_lossless_warning_is_one_stderr_line(self, capsys):
+        code, out, err = run_cli(["bss-region", "--b", "8", "--grid", "3"], capsys)
+        assert code == 0
+        assert err == (
+            "warning: good state supports lossless transmission; the lossy-regime "
+            "analysis assumes b*(1 - h(alpha1)) < 1\n"
+        )
+        assert out.startswith("# command=bss-region")
+
     def test_numeric_error_exit_code(self, capsys):
         # a sweep that includes power 0 fails model validation at run time
         code, _, err = run_cli(["gaussian-compare", "--p-grid", "0:1:3"], capsys)
         assert code == 3
         assert "numeric error" in err
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+          float("nan"), float("inf"), float("-inf")]
+
+
+def _value(lo, hi):
+    """Edge values, values in the valid range [lo, hi], and any float at all."""
+    return st.one_of(st.sampled_from(_EDGES), st.floats(lo, hi), st.floats())
+
+
+_KEY_VALUES = {
+    "alpha1": _value(0.0, 0.5),
+    "alpha2": _value(0.0, 0.5),
+    "b": _value(1.0, 12.0),
+    "p": _value(0.0, 1.0),
+    "sigma2": _value(0.0, 10.0),
+    "power": _value(0.0, 1e6),
+    "gamma_bar": _value(0.0, 1e6),
+}
+_COMMAND_KEYS = {
+    "bss-region": ("alpha1", "alpha2", "b", "p"),
+    "bss-frontier": ("alpha1", "alpha2", "b", "p"),
+    "bss-interface": ("alpha1", "alpha2", "b", "p"),
+    "gaussian-compare": ("sigma2", "power", "gamma_bar", "p"),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_KEYS)))
+    argv = [command, f"--grid={draw(st.integers(2, 6))}"]
+    # mostly the command's own keys; one key of the other family now and then
+    keys = draw(st.sets(st.sampled_from(_COMMAND_KEYS[command])))
+    if draw(st.integers(0, 7)) == 0:
+        keys.add(draw(st.sampled_from(sorted(_KEY_VALUES))))
+    for key in sorted(keys):
+        argv.append(f"--{key.replace('_', '-')}={draw(_KEY_VALUES[key])!r}")
+    sweep = _KEY_VALUES["power" if command == "gaussian-compare" else "p"]
+    grid = (draw(sweep), draw(sweep)) if draw(st.booleans()) else (0.5, 1.0)
+    return argv + [f"--p-grid={grid[0]!r},{grid[1]!r}"]
+
+
+class TestConfigSpace:
+    @given(_cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_config_exits_cleanly(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            _, _, rows = parse_csv(out.getvalue())
+            for cell in (c for row in rows for c in row if c):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a scheme name
+                assert math.isfinite(value), (argv, cell)
 
 
 class TestImports:
