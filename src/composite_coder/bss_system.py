@@ -693,15 +693,16 @@ def expected_distortion_frontier(
         def gap(p: float) -> float:
             return _best_vertex(hulls[fam_a], p)[0] - _best_vertex(hulls[fam_b], p)[0]
 
-        lo, hi = left.p, right.p
-        if gap(lo) < 0.0 <= gap(hi):
+        if gap(left.p) < 0.0 <= gap(right.p):
+            # a descending sweep meets the crossover from above: sort the bracket
+            lo, hi = sorted((left.p, right.p))
             crossovers.append(
                 Crossover(fam_a, fam_b, specfn.find_root(gap, lo, hi, tol=1e-4))
             )
         else:
             # winner changed without a clean pairwise sign change (three-way
             # tie region); report the midpoint unrefined
-            crossovers.append(Crossover(fam_a, fam_b, 0.5 * (lo + hi)))
+            crossovers.append(Crossover(fam_a, fam_b, 0.5 * (left.p + right.p)))
     return FrontierResult(points=points, crossovers=crossovers)
 
 

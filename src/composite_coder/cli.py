@@ -19,6 +19,12 @@ win on conflict.  Identical configurations produce byte-identical output:
 metadata carries a canonical parameter string and its hash, never a
 timestamp.
 
+Output cells: in CSV a float is its ``.12g`` string and None an empty cell;
+in JSON (indent 1) a float is its ``.12g``-rounded value in shortest
+round-trip form, and NaN and None are ``null``.  The renderers format one
+column of a bounded chunk of rows at a time, so rendering holds at most
+about 3x the output size in memory.
+
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
 3 numeric error, 4 work budget error (Monte Carlo, analytic sweep or
 --p-grid length).  Warnings print as one ``warning: ...`` line each on stderr.
@@ -36,7 +42,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__, bss_system, channels, gaussian_system, specfn
 from .bss_system import Scheme
@@ -101,47 +107,105 @@ class FigureTable:
     metadata: dict[str, str]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise AssertionError("row arity does not match column names")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise AssertionError("row arity does not match column names")
 
 
-def _fmt(value: object) -> str:
+_CHUNK_ROWS = 2048  # rows rendered at a time, which bounds the token working set
+
+
+def _json_number(text: str) -> str:
+    """JSON token of the float that a ``.12g`` string stands for, as json.dumps spells it."""
+    if text.lstrip("-").isdigit():
+        return text + ".0"
+    value = float(text)
+    # NaN is null; json.dumps gives Infinity, and repr where .12g and repr disagree:
+    # positional for 1e12 <= |v| < 1e16, fewer digits for subnormals
+    return "null" if math.isnan(value) else json.dumps(value)
+
+
+def _float_tokens(values: Sequence[float], as_json: bool) -> list[str]:
+    """One ``%``-format pass at ``.12g`` over a list of floats."""
+    tokens = (("%.12g\n" * len(values)) % tuple(values)).split("\n")
+    tokens.pop()
+    if as_json:
+        # a .12g string with a point and no exponent is already the shortest repr
+        tokens = [t if "." in t and "e" not in t else _json_number(t) for t in tokens]
+    return tokens
+
+
+def _cell_token(value: object, as_json: bool) -> str:
+    """Token of a cell that is not a float: None, a string or an integer."""
+    if as_json:
+        return json.dumps(value)
     if value is None:
         return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):  # what csv.QUOTE_MINIMAL quotes
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_tokens(column: tuple, as_json: bool) -> list[str]:
+    """Tokens of one column chunk; each distinct cell object is formatted once."""
+    cells = dict(zip(map(id, column), column))
+    if len(cells) == len(column) and set(map(type, column)) == {float}:
+        return _float_tokens(column, as_json)
+    floats = [v for v in cells.values() if isinstance(v, float)]
+    others = [v for v in cells.values() if not isinstance(v, float)]
+    tokens = dict(zip(map(id, floats), _float_tokens(floats, as_json)))
+    tokens.update((id(v), _cell_token(v, as_json)) for v in others)
+    return list(map(tokens.__getitem__, map(id, column)))
+
+
+def _row_chunks(table: FigureTable, as_json: bool, sep: str) -> Iterator[Iterator[str]]:
+    """Each chunk of rows as text: the row tokens joined by ``sep``, rows by newlines."""
+    rows = table.rows
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        columns = [_column_tokens(c, as_json) for c in zip(*rows[start:start + _CHUNK_ROWS])]
+        yield map(sep.join, zip(*columns))
 
 
 def render_csv(table: FigureTable) -> str:
-    import csv
-    import io
+    """CSV text: sorted ``# key=value`` metadata lines, the header, then the rows.
 
-    buf = io.StringIO()
-    for key in sorted(table.metadata):
-        buf.write(f"# {key}={table.metadata[key]}\r\n")
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    Lines end in CRLF.  A float cell is its ``.12g`` string, None is an empty
+    cell and any other cell is ``str(cell)``, quoted as ``csv.QUOTE_MINIMAL``
+    quotes it (a one-column row whose cell is empty, which csv writes as
+    ``""``, is the one difference, and no table has one column).
+    """
+    parts = [f"# {key}={table.metadata[key]}\r\n" for key in sorted(table.metadata)]
+    parts.append(",".join(_cell_token(c, False) for c in table.columns) + "\r\n")
+    for lines in _row_chunks(table, False, ","):
+        parts.append("\r\n".join(lines))
+        parts.append("\r\n")
+    return "".join(parts)
 
 
 def render_json(table: FigureTable) -> str:
-    def clean(v: object) -> object:
-        if isinstance(v, float):
-            if math.isnan(v):
-                return None
-            return float(f"{v:.12g}")
-        return v
+    """JSON text in the layout of ``json.dumps(indent=1)`` plus a newline.
 
-    doc = {
-        "columns": table.columns,
-        "rows": [[clean(v) for v in row] for row in table.rows],
-        "metadata": dict(sorted(table.metadata.items())),
-    }
-    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+    The document is ``{"columns", "rows", "metadata"}`` with sorted metadata.
+    A float cell is its ``.12g``-rounded value in shortest round-trip form,
+    NaN and None are ``null`` and ±inf is ``±Infinity``.
+    """
+    columns = ",\n  ".join(map(json.dumps, table.columns))
+    parts = ['{\n "columns": ' + (f"[\n  {columns}\n ]" if columns else "[]") + ",\n"]
+    if table.rows:
+        parts.append(' "rows": [\n  [\n   ')
+        row_sep = "\n  ],\n  [\n   "
+        for i, lines in enumerate(_row_chunks(table, True, ",\n   ")):
+            if i:
+                parts.append(row_sep)
+            parts.append(row_sep.join(lines))
+        parts.append("\n  ]\n ],\n")
+    else:
+        parts.append(' "rows": [],\n')
+    meta = ",\n  ".join(
+        f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(table.metadata.items())
+    )
+    parts.append(' "metadata": ' + (f"{{\n  {meta}\n }}" if meta else "{}") + "\n}\n")
+    return "".join(parts)
 
 
 def _metadata(cfg: RunConfig, extra: Optional[dict[str, str]] = None) -> dict[str, str]:
@@ -275,10 +339,9 @@ def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
         rows.extend([scheme, *cells] for cells in zip(beta, rho, kt, kr, de))
         stairs[sweep.scheme] = bss_system.interface_staircases(kt, kr, de)
     for family, sides in stairs.items():
-        for k, de in sides["kt"]:
-            rows.append([f"{family.value}:stair-kt", None, None, k, None, de])
-        for k, de in sides["kr"]:
-            rows.append([f"{family.value}:stair-kr", None, None, None, k, de])
+        kt_label, kr_label = f"{family.value}:stair-kt", f"{family.value}:stair-kr"
+        rows.extend([kt_label, None, None, k, None, de] for k, de in sides["kt"])
+        rows.extend([kr_label, None, None, None, k, de] for k, de in sides["kr"])
     return FigureTable(
         columns=["scheme", "param1", "param2", "Kt", "Kr", "De"],
         rows=rows,
@@ -622,13 +685,18 @@ _COMMANDS = {
 }
 
 
+_EMIT_CHARS = 2**20
+
+
 def _emit(table: FigureTable, cfg: RunConfig) -> None:
     text = render_csv(table) if cfg.format == "csv" else render_json(table)
+    # written a slice at a time, so no encoded copy of the whole text exists
+    pieces = (text[i:i + _EMIT_CHARS] for i in range(0, len(text), _EMIT_CHARS))
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -407,6 +408,17 @@ class TestBssFrontier:
             de_bc, de_rs = float(row[1]), float(row[2])
             assert de_rs <= de_bc + 1e-12
 
+    def test_descending_sweep_finds_the_same_crossover(self, capsys):
+        crossovers = {}
+        for sweep in ("0.1,0.9", "0.9,0.1"):
+            code, out, _ = run_cli(["bss-frontier", "--grid", "5", "--p-grid", sweep], capsys)
+            assert code == 0
+            meta, _, _ = parse_csv(out)
+            crossovers[sweep] = [v for k, v in meta.items() if k.startswith("crossover.")]
+        (up,), (down,) = crossovers.values()
+        low, high = up.split("@")[0].split("->")
+        assert down == f"{high}->{low}@{up.split('@')[1]}"
+
     def test_sys_good_linear(self, capsys):
         _, out, _ = run_cli(["bss-frontier", "--grid", "17", "--p-grid", "0:1:3"], capsys)
         _, _, rows = parse_csv(out)
@@ -518,3 +530,157 @@ class TestPinnedBytes:
             code, out, _ = run_cli(_TABLES[table] + _POINTS[point], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SHA256[(point, table)]
+
+
+# The renderers as they were before the column-wise rewrite: one call per cell
+# and json.dumps(indent=1).  They are the oracle for the output bytes.
+
+
+def _reference_fmt(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _reference_csv(table: cli.FigureTable) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    for key in sorted(table.metadata):
+        buf.write(f"# {key}={table.metadata[key]}\r\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([_reference_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _reference_json(table: cli.FigureTable) -> str:
+    def clean(v: object) -> object:
+        if isinstance(v, float):
+            if math.isnan(v):
+                return None
+            return float(f"{v:.12g}")
+        return v
+
+    doc = {
+        "columns": table.columns,
+        "rows": [[clean(v) for v in row] for row in table.rows],
+        "metadata": dict(sorted(table.metadata.items())),
+    }
+    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+
+
+@contextlib.contextmanager
+def _chunk_rows(n):
+    saved = cli._CHUNK_ROWS
+    cli._CHUNK_ROWS = n
+    try:
+        yield
+    finally:
+        cli._CHUNK_ROWS = saved
+
+
+def _copy(value):
+    """An equal cell that is a distinct object (floats keep every bit)."""
+    if isinstance(value, float):
+        return struct.unpack("<d", struct.pack("<d", value))[0]
+    return value
+
+
+_TRAP_CELLS = [
+    0.0, -0.0, 1, 1.0, True, False, 0, None, float("nan"), -float("nan"),
+    float("inf"), float("-inf"), 5e-324, 2.2250738585072014e-308, 1.5e-310, -7e-320,
+    1e12, 999999999999.5, 123456789012345.0, -1e15, 9.999999999999e15, 1e16, 1e-5, 1e-4,
+    0.1, 1.7976931348623157e308, "", "a,b", 'say "hi"', "line\r\nbreak", "cr\r", "lf\n",
+    "caf\u00e9", "\u2028", "\x00", " lead", "-", "1e5",
+]
+_cells = st.one_of(
+    st.sampled_from(_TRAP_CELLS),
+    st.floats(),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(2, 5))
+    pool = draw(st.lists(_cells, min_size=1, max_size=12))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        # cells either share one pool object or are an equal but distinct copy
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_cols, max_size=n_cols))
+        rows.append([pool[i] if draw(st.booleans()) else _copy(pool[i]) for i in picks])
+    columns = draw(st.lists(st.text(max_size=5), min_size=n_cols, max_size=n_cols))
+    metadata = draw(st.dictionaries(st.text(max_size=5), st.text(max_size=8), max_size=3))
+    return cli.FigureTable(columns=columns, rows=rows, metadata=metadata)
+
+
+_REAL_TABLES = [
+    ["bss-region", "--grid", "129"],
+    ["bss-region", "--grid", "9", "--alpha1", "0.05", "--alpha2", "0.3", "--b", "2.2"],
+    ["bss-frontier", "--grid", "33", "--p-grid", "0:1:101"],
+    ["bss-frontier", "--grid", "9", "--p-grid", "0.9,0.6,0.2"],
+    ["bss-interface", "--grid", "65"],
+    ["gaussian-compare"],
+    ["gaussian-compare", "--p-grid", "0.01,1e3,1e5", "--gamma-bar", "4"],
+    ["mc", "uncoded-bsc", "--trials", "20", "--blocklength", "64"],
+    ["mc", "uncoded-gaussian", "--trials", "20", "--blocklength", "64"],
+    ["mc", "quantizer", "--trials", "5"],
+    ["mc", "msvq", "--trials", "5"],
+    ["mc", "superposition", "--trials", "3", "--blocklength", "64"],
+]
+
+
+def _table(argv):
+    cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return cli._COMMANDS[cfg.command](cfg)
+
+
+class TestRenderOracle:
+    @given(_tables(), st.integers(1, 5))
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_as_reference(self, table, chunk):
+        with _chunk_rows(chunk):
+            assert cli.render_csv(table) == _reference_csv(table)
+            assert cli.render_json(table) == _reference_json(table)
+
+    @pytest.mark.parametrize("argv", _REAL_TABLES, ids=" ".join)
+    def test_real_tables(self, argv):
+        table = _table(argv)
+        assert cli.render_csv(table) == _reference_csv(table)
+        assert cli.render_json(table) == _reference_json(table)
+
+    def test_empty_rows(self):
+        table = cli.FigureTable(columns=["a", "b"], rows=[], metadata={})
+        assert cli.render_csv(table) == _reference_csv(table)
+        assert cli.render_json(table) == _reference_json(table)
+
+    def test_row_arity_checked(self):
+        with pytest.raises(AssertionError):
+            cli.FigureTable(columns=["a", "b"], rows=[[1, 2], [3]], metadata={})
+
+
+class TestRenderMemory:
+    @pytest.fixture(scope="class")
+    def region_257(self):
+        return _table(["bss-region", "--grid", "257"])
+
+    @pytest.mark.parametrize("render", [cli.render_csv, cli.render_json])
+    def test_peak_within_three_times_output(self, render, region_257):
+        table = region_257
+        tracemalloc.start()
+        try:
+            text = render(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
