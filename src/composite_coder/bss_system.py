@@ -29,11 +29,16 @@ The two layered families are swept as arrays: ``sweep_layered`` evaluates a
 whole (beta, rho) mesh with numpy (imported on first use, so importing this
 module does not load numpy).  Its values equal the scalar evaluators' bit
 for bit: the mesh arithmetic keeps their operation order, and the entropy
-inverse repeats the scalar bisection decision for decision (see
-``_inverse_entropy_array``).  The scalar evaluators stay the per-point API
-and the reference the array core is tested against.  A sweep holds at most
-MESH_CAP points; a larger one raises ``specfn.BudgetError`` before any
-array is allocated.
+inverse reaches the scalar bisection's final bracket.  It starts each
+element at a dyadic bracket near a Newton estimate and certifies that the
+scalar bisection passes through it (see ``_inverse_entropy_array``).  The
+certificate rests on one premise: the numpy and the scalar entropy err by at
+most _ENTROPY_GUARD together, |h_np - h| + |h_scalar - h| <= _ENTROPY_GUARD,
+which ``tests/test_bss_system.py::TestEntropyInverse::
+test_entropy_errors_fit_the_guard`` checks against mpmath.  The scalar
+evaluators stay the per-point API and the reference the array core is tested
+against.  A sweep holds at most MESH_CAP points; a larger one raises
+``specfn.BudgetError`` before any array is allocated.
 """
 
 from __future__ import annotations
@@ -87,11 +92,20 @@ MESH_CAP = 2**21  # (beta, rho) points per layered sweep: admits grid 1025, not 
 # 1e-12 wide; the widths are 0.5 * 2^-k exactly and 0.5 * 2^-39 <= 1e-12 <
 # 0.5 * 2^-38, so it always halves 39 times.
 _ENTROPY_HALVINGS = 39
-# np.log2 and math.log2 differ by at most one ulp, which moves the computed
-# h(mid) by under 1e-15; a bisection decision with |h(mid) - r| at or below
-# this bound is re-made with the scalar specfn.binary_entropy, so every
-# decision matches the scalar path.
+# The certification premise: on (0, 1/2) the numpy entropy h_np (np.log2) and
+# the scalar specfn.binary_entropy h_scalar satisfy |h_np - h| + |h_scalar - h|
+# <= _ENTROPY_GUARD, h the exact entropy; against mpmath each errs by at most
+# 2.2e-16 (TestEntropyInverse::test_entropy_errors_fit_the_guard).  So an h_np
+# more than the guard from the target decides a comparison as h_scalar would,
+# and one at or within it is re-made with h_scalar: every bisection decision
+# matches the scalar path, and a bracket certified with h_np is one the scalar
+# bisection passes through.
 _ENTROPY_GUARD = 4e-15
+# depths at which the array inverse certifies its starting bracket, deepest
+# first; depth 0 is [0, 1/2], which needs no certificate
+_CERTIFIED_DEPTHS = (_ENTROPY_HALVINGS, 30, 0)
+# Newton steps of the approximate inverse that picks the bracket to certify
+_NEWTON_STEPS = 3
 # entropy inversions per bisection chunk: bounds the temporaries of a large mesh
 _INVERSION_CHUNK = 2**16
 
@@ -176,7 +190,16 @@ def wyner_ziv_turning_point(alpha: float) -> float:
     def tangent_gap(d: float) -> float:
         return _g(d, alpha) + _g_prime(d, alpha) * (alpha - d)
 
-    return specfn.find_root(tangent_gap, 1e-9, alpha - 1e-9, tol=1e-12)
+    lo, hi, tol = 1e-9, alpha - 1e-9, 1e-12
+    if not (lo < hi and tangent_gap(lo) <= 0.0):
+        # dc is about alpha^2/e, below 1e-9 for alpha under about 5.2e-5: a
+        # bracket and a tolerance relative to alpha^2.  The tangent gap holds
+        # dc to about 1e-17/alpha relative, so alpha below 1e-12 is refused.
+        if alpha < 1e-12:
+            raise ValueError(f"crossover {alpha} is below 1e-12, where dc is not resolved")
+        square = alpha * alpha
+        lo, hi, tol = square / 8.0, square, square * 1e-12
+    return specfn.find_root(tangent_gap, lo, hi, tol=tol)
 
 
 def wyner_ziv_curve(alpha: float) -> WynerZivCurve:
@@ -226,7 +249,9 @@ def _evaluate_layered(ch: CompositeBsc, beta: float, rho: float, scheme: Scheme)
     b = ch.b
     d2 = specfn.bss_distortion_rate((b - rho) * rates.r2)
     if rho < 1.0:
-        d1 = specfn.bss_distortion_rate((b - rho) / (1.0 - rho) * rates.r1 + (b - rho) * rates.r2)
+        # at beta = 0 the refinement term is exactly 0, also where its factor overflows
+        refine = (b - rho) / (1.0 - rho) * rates.r1 if rates.r1 != 0.0 else 0.0
+        d1 = specfn.bss_distortion_rate(refine + (b - rho) * rates.r2)
     else:
         d1 = 0.0  # weighted out below
     big_d1 = (1.0 - rho) * d1 + rho * min(d2, ch.alpha1)
@@ -354,29 +379,83 @@ class LayeredSweep:
         ]
 
 
-def _inverse_entropy_array(r: np.ndarray) -> np.ndarray:
-    """``specfn.inverse_binary_entropy`` of every r in (0, 1), bit for bit.
+def _entropy_array(p: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits of every p in (0, 1), with np.log2."""
+    import numpy as np
 
-    Runs the scalar bisection's 39 halvings on all elements at once, with
-    entropy from np.log2; any comparison within _ENTROPY_GUARD of the target
-    is re-decided with the scalar ``specfn.binary_entropy``.
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+def _approximate_inverse_entropy(r: np.ndarray) -> np.ndarray:
+    """A start for ``_inverse_entropy_array``: about h^-1(r) in (0, 1/2), no promise.
+
+    Newton steps on h(p) = r from the inverse of Topsoe's upper bound
+    h(p) <= (4p(1-p))^(1/ln 4).  h is concave, so the steps approach the root
+    from below.  Each step starts from p clipped to at least the smallest
+    normal float, so that log2(p) is finite, and to below 1/2 - 2^-30, so that
+    the slope log2(1-p) - log2(p) is positive; every r < 1 has its root below
+    that.
     """
     import numpy as np
 
-    lo = np.zeros_like(r)
-    hi = np.full_like(r, 0.5)
-    for _ in range(_ENTROPY_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        h = -(mid * np.log2(mid) + (1.0 - mid) * np.log2(1.0 - mid))
-        below = h < r
-        tie = np.flatnonzero(np.abs(h - r) <= _ENTROPY_GUARD)
-        if tie.size:
-            below[tie] = [
-                specfn.binary_entropy(m) < t for m, t in zip(mid[tie].tolist(), r[tie].tolist())
-            ]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    x = r ** math.log(4.0)
+    p = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    for _ in range(_NEWTON_STEPS):
+        p = np.clip(p, 2.0**-1022, 0.5 - 2.0**-30)
+        lp, lq = np.log2(p), np.log2(1.0 - p)
+        p = p + (r + (p * lp + (1.0 - p) * lq)) / (lq - lp)
+    return p
+
+
+def _inverse_entropy_array(r: np.ndarray) -> np.ndarray:
+    """``specfn.inverse_binary_entropy`` of every r in (0, 1), bit for bit.
+
+    The scalar bisection walks a binary tree of dyadic brackets: at depth J
+    its bracket is a node [L, H] of width 2^-(J+1), and after 39 halvings it
+    returns the midpoint of a leaf.  Each element starts at the node of depth
+    J that holds its approximate inverse and certifies it with two entropy
+    evaluations: L = 0 or h(L) < r - G, and H = 1/2 or h(H) > r + G, with
+    G = _ENTROPY_GUARD.  h increases on [0, 1/2], so by the guard's premise
+    every midpoint the scalar bisection visits at or below L then decides
+    "below" and every one at or above H "not below": it reaches [L, H] too.
+    From there the remaining halvings run as the scalar ones do, with entropy
+    from np.log2 and any comparison within G of the target re-decided by the
+    scalar ``specfn.binary_entropy``.  Elements whose node fails certification
+    retry at the next of _CERTIFIED_DEPTHS; depth 0 is [0, 1/2] itself.
+    """
+    import numpy as np
+
+    out = np.empty_like(r)
+    guess = _approximate_inverse_entropy(r)
+    guess = np.where(guess > 0.0, np.minimum(guess, 0.5), 0.0)  # NaN -> 0
+    todo = np.arange(r.size)
+    for depth in _CERTIFIED_DEPTHS:
+        width = 0.5 ** (depth + 1)
+        lo = np.minimum(np.floor(guess[todo] / width), 2.0**depth - 1.0) * width
+        hi = lo + width
+        target = r[todo]
+        # differences against a float guard: rounding is monotone, so a
+        # computed difference beyond the guard is beyond it exactly
+        h_lo = _entropy_array(np.where(lo > 0.0, lo, 0.5))
+        certified = ((lo == 0.0) | (h_lo - target < -_ENTROPY_GUARD)) & (
+            (hi == 0.5) | (_entropy_array(hi) - target > _ENTROPY_GUARD)
+        )
+        done, lo, hi, target = todo[certified], lo[certified], hi[certified], target[certified]
+        for _ in range(_ENTROPY_HALVINGS - depth):
+            mid = 0.5 * (lo + hi)
+            h = _entropy_array(mid)
+            below = h < target
+            tie = np.flatnonzero(np.abs(h - target) <= _ENTROPY_GUARD)
+            if tie.size:
+                below[tie] = [
+                    specfn.binary_entropy(m) < t
+                    for m, t in zip(mid[tie].tolist(), target[tie].tolist())
+                ]
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[done] = 0.5 * (lo + hi)
+        todo = todo[~certified]
+    return out
 
 
 def _distortion_rate_array(rate: np.ndarray) -> np.ndarray:
@@ -429,7 +508,13 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
     b, p = ch.b, ch.p
     # rho <= RHO_MAX < 1 throughout, so _evaluate_layered's rho = 1 branch never applies
     d2 = _distortion_rate_array((b - rho) * r2)
-    d1 = _distortion_rate_array((b - rho) / (1.0 - rho) * r1 + (b - rho) * r2)
+    # As in _evaluate_layered, the refinement term is exactly 0 where r1 = 0.  A b
+    # near the float maximum overflows the rate to inf, which is lossless, as
+    # Python float arithmetic does without a warning.
+    with np.errstate(over="ignore"):
+        refine = np.multiply((b - rho) / (1.0 - rho), r1, out=np.zeros_like(r1), where=r1 != 0.0)
+        rate1 = refine + (b - rho) * r2
+    d1 = _distortion_rate_array(rate1)
     big_d1 = (1.0 - rho) * d1 + rho * np.minimum(d2, ch.alpha1)
     big_d2 = (1.0 - rho) * d2 + rho * np.minimum(d2, ch.alpha2)
     kt = (b - rho) * (r1 + r2) + rho

@@ -111,10 +111,11 @@ def uncoded_expected_distortion(sys: RayleighSystem) -> float:
 
     Closed form sigma2 * exp(1/a)/a * E1(1/a) with a = power*gamma_bar,
     which equals the direct average of sigma2/(1 + power*gamma); the scaled
-    exp(x)*E1(x) keeps it finite where exp(1/a) alone would overflow.
+    exp(x)*E1(x) keeps it finite where exp(1/a) alone would overflow, and
+    scaling by sigma2 last keeps a sigma2 near the float maximum finite.
     """
     a = sys.snr_scale
-    return sys.sigma2 * (1.0 / a) * specfn.scaled_exp_integral(1.0 / a)
+    return sys.sigma2 * (specfn.scaled_exp_integral(1.0 / a) / a)
 
 
 def outage_separation_distortion(sys: RayleighSystem, q: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the composite-BSC scheme evaluations, regions and frontiers."""
 
 import math
+import sys
 import warnings
 
 import pytest
@@ -576,3 +577,157 @@ class TestRegistry:
         with pytest.raises(specfn.BudgetError):
             bss.sweep_families(CH, 1449, (Scheme.SYSTEMATIC_GOOD, Scheme.RESIDUE_SPLITTING))
         assert calls == []
+
+
+def _inverse_inputs():
+    """Entropy targets in (0, 1): uniform, tiny, within 1e-15 of 1, and h(k * 2^-40)."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(20)
+    dyadic = [specfn.binary_entropy(k * 2.0**-40) for k in rng.integers(1, 2**39, 500).tolist()]
+    r = np.concatenate([
+        rng.random(1500),
+        10.0 ** rng.uniform(-320.0, -1.0, 500),
+        1.0 - 10.0 ** rng.uniform(-15.95, -8.0, 300),
+        dyadic,
+        [5e-324, 1e-300, 2.0**-40, 0.5, 1.0 - 2.0**-53, specfn.binary_entropy(2.0**-40)],
+    ])
+    return r[(r > 0.0) & (r < 1.0)]
+
+
+def _spoil(kind):
+    """Approximate inverses that are wrong on purpose, so certification falls back."""
+    np = pytest.importorskip("numpy")
+    good = bss._approximate_inverse_entropy
+    return {
+        "nan": lambda r: np.full_like(r, np.nan),
+        "zero": np.zeros_like,
+        "half": lambda r: np.full_like(r, 0.5),
+        "above": lambda r: good(r) + 1e-6,
+        "below": lambda r: good(r) - 1e-6,
+    }[kind]
+
+
+_TARGETS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(5e-324, 1e-300),
+    st.floats(2.0**-53, 1e-15).map(lambda x: 1.0 - x),
+    st.integers(1, 2**39 - 1).map(lambda k: specfn.binary_entropy(k * 2.0**-40)).filter(
+        lambda r: r < 1.0  # h(1/2 - 2^-40) rounds to 1
+    ),
+)
+
+
+class TestEntropyInverse:
+    """``_inverse_entropy_array`` against the scalar ``specfn.inverse_binary_entropy``."""
+
+    @given(st.lists(_TARGETS, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_equals_scalar(self, targets):
+        np = pytest.importorskip("numpy")
+        got = bss._inverse_entropy_array(np.array(targets)).tolist()
+        assert got == [specfn.inverse_binary_entropy(r) for r in targets]
+
+    @pytest.mark.parametrize("depths", [(39, 30, 0), (30, 0), (39, 0), (0,)])
+    @pytest.mark.parametrize("kind", [None, "nan", "zero", "half", "above", "below"])
+    def test_every_fallback_depth_equals_scalar(self, kind, depths, monkeypatch):
+        r = _inverse_inputs()
+        if kind is not None:
+            monkeypatch.setattr(bss, "_approximate_inverse_entropy", _spoil(kind))
+        monkeypatch.setattr(bss, "_CERTIFIED_DEPTHS", depths)
+        got = bss._inverse_entropy_array(r).tolist()
+        assert got == [specfn.inverse_binary_entropy(x) for x in r.tolist()]
+
+    def test_warm_start_certifies_near_the_leaves(self, monkeypatch):
+        # a cold bisection evaluates the entropy 39 times per inversion
+        sizes, inverted = [], []
+        entropy, inverse = bss._entropy_array, bss._inverse_entropy_array
+        monkeypatch.setattr(bss, "_entropy_array", lambda p: sizes.append(p.size) or entropy(p))
+        monkeypatch.setattr(
+            bss, "_inverse_entropy_array", lambda r: inverted.append(r.size) or inverse(r)
+        )
+        bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 65)
+        assert sum(sizes) < 4 * sum(inverted)
+
+    def test_inverse_raises_no_warning(self):
+        np = pytest.importorskip("numpy")
+        r = _inverse_inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                bss._inverse_entropy_array(r)
+                bss._approximate_inverse_entropy(r)
+
+    def test_entropy_errors_fit_the_guard(self):
+        # The certification premise: |h_np - h| + |h_scalar - h| <= _ENTROPY_GUARD
+        # on (0, 1/2), h the exact entropy, taken here with 40 digits.
+        np = pytest.importorskip("numpy")
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(40)
+        p = np.concatenate([
+            rng.random(4000) * 0.5,
+            10.0 ** rng.uniform(-320.0, -1.0, 2000),
+            0.5 - 10.0 ** rng.uniform(-16.0, -1.0, 2000),
+            rng.integers(1, 2**39, 2000) * 2.0**-40,
+            [5e-324, 2.0**-1022, 2.0**-40, 0.5 - 2.0**-40, 0.5 - 2.0**-54],
+        ])
+        p = p[(p > 0.0) & (p < 0.5)]
+        assert p.size >= 10_000
+        numpy_h = bss._entropy_array(p).tolist()
+        worst_np = worst_scalar = 0.0
+        with mpmath.workdps(40):
+            for x, h_np in zip(p.tolist(), numpy_h):
+                m = mpmath.mpf(x)
+                exact = -(m * mpmath.log(m, 2) + (1 - m) * mpmath.log(1 - m, 2))
+                worst_np = max(worst_np, float(abs(h_np - exact)))
+                worst_scalar = max(worst_scalar, float(abs(specfn.binary_entropy(x) - exact)))
+        assert worst_np + worst_scalar <= bss._ENTROPY_GUARD
+
+
+class TestRangeEdges:
+    def test_huge_b_is_finite_and_array_equals_scalar(self):
+        np = pytest.importorskip("numpy")
+        ch = _channel(0.25, 0.45, sys.float_info.max, p=0.5)
+        e = bss.residue_splitting_scheme(ch, 0.0, 0.5)
+        assert all(math.isfinite(v) for v in _fields(e))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family, scalar in (
+                (Scheme.BROADCAST, lambda be, ro: bss.broadcast_scheme(ch, be)),
+                (Scheme.RESIDUE_SPLITTING, lambda be, ro: bss.residue_splitting_scheme(ch, be, ro)),
+            ):
+                sweep = bss.sweep_layered(ch, family, 9)
+                columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
+                assert all(np.isfinite(c).all() for c in columns)
+                for i, (beta, rho) in enumerate(zip(sweep.beta.tolist(), sweep.rho.tolist())):
+                    assert tuple(c[i].item() for c in columns) == _fields(scalar(beta, rho))
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-10, 1e-9, 3e-9, 1e-7, 1e-5, 5e-5])
+    def test_tiny_alpha_turning_point_matches_mpmath(self, alpha):
+        # below about 5.2e-5 the turning point, about alpha^2/e, lies under the
+        # fixed bracket's 1e-9; the oracle is the tangent gap with 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        dc = bss.wyner_ziv_turning_point(alpha)
+        assert 0.0 < dc < alpha
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+
+            def h(x):
+                return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
+
+            def gap(d):
+                conv = a * (1 - d) + d * (1 - a)
+                slope = (1 - 2 * a) * mpmath.log((1 - conv) / conv, 2) - mpmath.log((1 - d) / d, 2)
+                return h(conv) - h(d) + slope * (a - d)
+
+            exact = mpmath.findroot(gap, (a * a / 8, a * a), solver="anderson")
+            assert abs(dc - exact) <= 1e-4 * exact
+
+    def test_turning_point_keeps_the_fixed_bracket_where_it_holds_the_root(self):
+        for alpha in (6e-5, 1e-4, 0.01, 0.25, 0.45):
+            gap = lambda d: bss._g(d, alpha) + bss._g_prime(d, alpha) * (alpha - d)
+            want = specfn.find_root(gap, 1e-9, alpha - 1e-9, tol=1e-12)
+            assert bss.wyner_ziv_turning_point(alpha) == want
+
+    def test_unresolved_turning_point_is_refused(self):
+        with pytest.raises(ValueError, match="below 1e-12"):
+            bss.wyner_ziv_turning_point(1e-13)

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import composite_coder
@@ -321,9 +321,21 @@ def _cli_argv(draw):
     return argv + [f"--p-grid={grid[0]!r},{grid[1]!r}"]
 
 
+_MENDED_INPUTS = [
+    ["bss-region", "--grid=3", "--b=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
+    ["bss-region", "--grid=3", "--alpha1=1e-10", "--alpha2=1e-09", "--p-grid=0.5,1.0"],
+    ["gaussian-compare", "--grid=2", "--sigma2=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
+]
+
+
 class TestConfigSpace:
     @given(_cli_argv())
     @settings(max_examples=300, deadline=None)
+    # inputs that once failed, run every time: a huge b gave a NaN rate, tiny
+    # alphas a turning-point bracket without the root, a huge sigma2 an inf cell
+    @example(_MENDED_INPUTS[0])
+    @example(_MENDED_INPUTS[1])
+    @example(_MENDED_INPUTS[2])
     def test_every_config_exits_cleanly(self, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -337,6 +349,15 @@ class TestConfigSpace:
                 except ValueError:
                     continue  # a scheme name
                 assert math.isfinite(value), (argv, cell)
+
+    @pytest.mark.parametrize("argv", _MENDED_INPUTS)
+    def test_mended_inputs_give_finite_tables(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert "encountered" not in err  # no numpy floating-point warning
+        _, header, rows = parse_csv(out)
+        numeric = [c for row in rows for c, name in zip(row, header) if c and name != "scheme"]
+        assert numeric and all(math.isfinite(float(c)) for c in numeric)
 
 
 class TestImports:

@@ -41,6 +41,14 @@ class TestUncoded:
             2.0 * gs.uncoded_expected_distortion(UNIT), rel=1e-12
         )
 
+    def test_finite_at_the_largest_variance(self):
+        # sigma2/a alone overflows at a = 1/2
+        sigma2 = 1.7976931348623157e308
+        huge = gs.uncoded_expected_distortion(RayleighSystem(sigma2=sigma2, power=0.5, gamma_bar=1.0))
+        unit = gs.uncoded_expected_distortion(RayleighSystem(sigma2=1.0, power=0.5, gamma_bar=1.0))
+        assert math.isfinite(huge) and huge < sigma2
+        assert huge == pytest.approx(sigma2 * unit, rel=1e-15)
+
     def test_vanishes_at_high_snr(self):
         strong = RayleighSystem(sigma2=1.0, power=1e6, gamma_bar=1.0)
         assert gs.uncoded_expected_distortion(strong) < 2e-5
