@@ -23,7 +23,10 @@ Every family reaches its callers as a ``LayeredSweep`` struct of arrays.
 ``sweep_family`` is the one registry: it sweeps broadcast and residue
 splitting as meshes and wraps each other family as the one-point sweep of
 its scalar evaluator; ``sweep_families`` sweeps several, residue splitting
-first.  Regions, frontiers and interface tables are then one code path.
+first.  Each table then has one code path: a region is
+``sweep_family(...).hull()``, the best scheme per bad-state probability is
+``expected_distortion_frontier`` and the interface-complexity tradeoff is
+``interface_staircases`` of each sweep's (kt, kr, expected) columns.
 
 The two layered families are swept as arrays: ``sweep_layered`` evaluates a
 whole (beta, rho) mesh with numpy (imported on first use, so importing this
@@ -78,11 +81,8 @@ __all__ = [
     "sweep_family",
     "sweep_families",
     "hull_dominates_array",
-    "distortion_region",
-    "best_expected_distortion",
     "expected_distortion_frontier",
     "interface_staircases",
-    "interface_tradeoff",
 ]
 
 RHO_MAX = 1.0 - 1e-6
@@ -315,9 +315,9 @@ class LayeredSweep:
 
     Element i is the point (beta[i], rho[i]); d1, d2, expected, kt and kr
     equal the fields of the family's scalar evaluator at that point exactly.
-    ``names`` are the coordinates that are SchemeEvaluation params, and
-    ``fixed`` the params every point shares.  Broadcast sweeps have rho = 0
-    throughout; a coordinate a family lacks is NaN.
+    ``names`` are the coordinates that are SchemeEvaluation params.
+    Broadcast sweeps have rho = 0 throughout; a coordinate a family lacks is
+    NaN.
     """
 
     scheme: Scheme
@@ -329,11 +329,6 @@ class LayeredSweep:
     kt: np.ndarray
     kr: np.ndarray
     names: tuple[str, ...]
-    fixed: dict[str, float] = field(default_factory=dict)
-
-    def params(self, i: int) -> dict[str, float]:
-        """The SchemeEvaluation params of point i."""
-        return {**{n: float(getattr(self, n)[i]) for n in self.names}, **self.fixed}
 
     def param_columns(self) -> tuple[list[float | None], list[float | None]]:
         """beta and rho per point as table cells, None where they are not params.
@@ -348,35 +343,21 @@ class LayeredSweep:
         betas, rhos = self.beta[::grid].tolist(), self.rho[:grid].tolist()
         return [beta for beta in betas for _ in rhos], rhos * grid
 
-    def hull_indices(self) -> list[int]:
-        """Indices of the vertices of the (d1, d2) hull, ``specfn.pareto_lower_hull``'s.
+    def hull(self) -> list[tuple[float, float]]:
+        """The lower convex hull of the (d1, d2) points, sorted by d1.
 
         Points that an earlier point in (d1, d2) order weakly dominates are
-        dropped with numpy first; the hull of the rest is the hull of all.
-        Of several equal points, the first in sweep order is the vertex.
+        dropped with numpy first; ``specfn.pareto_lower_hull`` of the rest is
+        the hull of all.
         """
         import numpy as np
 
-        order = np.lexsort((self.d2, self.d1))  # stable: ties keep sweep order
+        order = np.lexsort((self.d2, self.d1))
         d2 = self.d2[order]
         keep = np.ones(d2.size, dtype=bool)
         keep[1:] = d2[1:] < np.minimum.accumulate(d2)[:-1]
-        index = order[keep].tolist()
-        points = list(zip(self.d1[index].tolist(), self.d2[index].tolist()))
-        vertex = dict(zip(points, index))
-        return [vertex[v] for v in specfn.pareto_lower_hull(points)]
-
-    def hull(self) -> list[tuple[float, float]]:
-        """The lower convex hull of the (d1, d2) points, sorted by d1."""
-        return [(self.d1[i].item(), self.d2[i].item()) for i in self.hull_indices()]
-
-    def evaluations(self) -> list[SchemeEvaluation]:
-        """The sweep as per-point SchemeEvaluation objects, in sweep order."""
-        columns = (self.d1, self.d2, self.expected, self.kt, self.kr)
-        return [
-            SchemeEvaluation(self.scheme, self.params(i), d1, d2, expected, kt, kr)
-            for i, (d1, d2, expected, kt, kr) in enumerate(zip(*(c.tolist() for c in columns)))
-        ]
+        index = order[keep]
+        return specfn.pareto_lower_hull(list(zip(self.d1[index].tolist(), d2[keep].tolist())))
 
 
 def _entropy_array(p: np.ndarray) -> np.ndarray:
@@ -642,10 +623,9 @@ def sweep_family(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
 
     e = evaluate(ch)
     names = tuple(n for n in ("beta", "rho") if n in e.params)
-    fixed = {n: v for n, v in e.params.items() if n not in names}
     coordinates = (e.params.get("beta", math.nan), e.params.get("rho", math.nan))
     columns = (np.array([v]) for v in (*coordinates, e.d1, e.d2, e.expected, e.kt, e.kr))
-    return LayeredSweep(family, *columns, names, fixed)
+    return LayeredSweep(family, *columns, names)
 
 
 def sweep_families(
@@ -661,47 +641,18 @@ def sweep_families(
     return {family: sweeps[family] for family in families}
 
 
-def distortion_region(
-    ch: CompositeBsc, family: Scheme, grid: int
-) -> list[tuple[float, float]]:
-    """Achievable (d1, d2) region boundary of a scheme family.
+def _best_vertex(vertices: Sequence[tuple[float, float]], p: float) -> float:
+    """The minimum of (1-p)*d1 + p*d2 over hull vertices.
 
-    The family is swept on the given grid and closed under time sharing
-    (convex hull); a one-point family's region is its point.
+    The expectation is linear, so over the time-sharing closure it is
+    minimized at a hull vertex.
     """
-    return sweep_family(ch, family, grid).hull()
-
-
-def _hull_with_params(sweep: LayeredSweep) -> list[tuple[float, float, dict[str, float]]]:
-    return [
-        (sweep.d1[i].item(), sweep.d2[i].item(), sweep.params(i)) for i in sweep.hull_indices()
-    ]
-
-
-def _best_vertex(
-    vertices: Sequence[tuple[float, float, dict[str, float]]], p: float
-) -> tuple[float, dict[str, float]]:
-    """The minimum of (1-p)*d1 + p*d2 over hull vertices, and the first minimizer's params."""
-    best_val, best_params = math.inf, {}
-    for d1, d2, params in vertices:
+    best = math.inf
+    for d1, d2 in vertices:
         val = (1.0 - p) * d1 + p * d2
-        if val < best_val:
-            best_val, best_params = val, params
-    return best_val, dict(best_params)
-
-
-def best_expected_distortion(
-    ch: CompositeBsc, family: Scheme, p: float, grid: int
-) -> tuple[float, dict[str, float]]:
-    """Minimum expected distortion of a family at bad-state probability p.
-
-    The expectation (1-p)*d1 + p*d2 is linear, so over the time-sharing
-    closure it is minimized at a hull vertex.  Returns (expected distortion,
-    parameters of the minimizer).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"state probability must lie in [0, 1], got {p}")
-    return _best_vertex(_hull_with_params(sweep_family(ch, family, grid)), p)
+        if val < best:
+            best = val
+    return best
 
 
 @dataclass(frozen=True)
@@ -709,7 +660,6 @@ class FrontierPoint:
     p: float
     scheme: Scheme
     expected: float
-    params: dict[str, float] = field(compare=False)
     family_expected: dict[Scheme, float] = field(compare=False)
 
 
@@ -747,27 +697,16 @@ def expected_distortion_frontier(
     crossover is refined by bisecting the difference of the two families'
     best expected distortions to 1e-4.
     """
-    hulls = {
-        fam: _hull_with_params(sweep)
-        for fam, sweep in sweep_families(ch, grid, _FRONTIER_FAMILIES).items()
-    }
+    sweeps = sweep_families(ch, grid, _FRONTIER_FAMILIES)
+    hulls = {fam: sweep.hull() for fam, sweep in sweeps.items()}
 
     points: list[FrontierPoint] = []
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"state probability must lie in [0, 1], got {p}")
-        best = {fam: _best_vertex(vertices, p) for fam, vertices in hulls.items()}
-        per_family = {fam: value for fam, (value, _) in best.items()}
+        per_family = {fam: _best_vertex(vertices, p) for fam, vertices in hulls.items()}
         winner = min(per_family, key=per_family.get)  # the first in tie-break order
-        points.append(
-            FrontierPoint(
-                p=p,
-                scheme=winner,
-                expected=per_family[winner],
-                params=best[winner][1],
-                family_expected=per_family,
-            )
-        )
+        points.append(FrontierPoint(p, winner, per_family[winner], per_family))
 
     crossovers: list[Crossover] = []
     for left, right in zip(points, points[1:]):
@@ -776,7 +715,7 @@ def expected_distortion_frontier(
         fam_a, fam_b = left.scheme, right.scheme
 
         def gap(p: float) -> float:
-            return _best_vertex(hulls[fam_a], p)[0] - _best_vertex(hulls[fam_b], p)[0]
+            return _best_vertex(hulls[fam_a], p) - _best_vertex(hulls[fam_b], p)
 
         if gap(left.p) < 0.0 <= gap(right.p):
             # a descending sweep meets the crossover from above: sort the bracket
@@ -811,20 +750,4 @@ def interface_staircases(
     return {
         "kt": _staircase(list(zip(kt, expected))),
         "kr": _staircase(list(zip(kr, expected))),
-    }
-
-
-def interface_tradeoff(
-    ch: CompositeBsc, p: float, grid: int
-) -> dict[Scheme, dict[str, list[tuple[float, float]]]]:
-    """Distortion vs interface-complexity staircases for every family.
-
-    For each family the parameter sweep yields (kt, expected) and
-    (kr, expected) series at the given bad-state probability p; the reported
-    series are lower staircases sorted by complexity.
-    """
-    ch_at_p = CompositeBsc(alpha1=ch.alpha1, alpha2=ch.alpha2, p=p, b=ch.b)
-    return {
-        fam: interface_staircases(s.kt.tolist(), s.kr.tolist(), s.expected.tolist())
-        for fam, s in sweep_families(ch_at_p, grid, COMPARED_FAMILIES).items()
     }

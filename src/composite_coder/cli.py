@@ -563,7 +563,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
                 key, value = text.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -658,8 +658,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             )
         if cfg.b < 1.0:
             raise ConfigError(f"b must be >= 1, got {cfg.b}")
-    if cfg.command.startswith("bss-"):
-        for p in (cfg.p, *cfg.p_grid):
+        # the superposition experiment reads --p but not --p-grid
+        probabilities = (cfg.p, *cfg.p_grid) if cfg.command.startswith("bss-") else (cfg.p,)
+        for p in probabilities:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
     if cfg.command == "gaussian-compare" and cfg.gamma_bar > 0.0:
@@ -693,8 +694,11 @@ def _emit(table: FigureTable, cfg: RunConfig) -> None:
     # written a slice at a time, so no encoded copy of the whole text exists
     pieces = (text[i:i + _EMIT_CHARS] for i in range(0, len(text), _EMIT_CHARS))
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     else:
         sys.stdout.writelines(pieces)
 

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from . import specfn
 from .channels import RayleighSystem
 
 __all__ = [
-    "GaussianScheme",
-    "GaussianSchemeResult",
     "PowerProfile",
     "NoSolutionError",
     "uncoded_state_distortion",
@@ -42,7 +39,6 @@ __all__ = [
     "bc_expected_distortion",
     "bc_rate_profile",
     "bc_optimal_profile",
-    "compare_schemes",
 ]
 
 _E1_HALF = specfn.exp_integral(0.5)
@@ -51,26 +47,6 @@ _EXP_HALF = math.exp(-0.5)
 
 class NoSolutionError(ValueError):
     """The requested operating point is outside the achievable range."""
-
-
-class GaussianScheme(str, Enum):
-    UNCODED = "uncoded"
-    OUTAGE_SEPARATION = "outage_separation"
-    BROADCAST_SEPARATION = "broadcast_separation"
-
-
-@dataclass(frozen=True)
-class GaussianSchemeResult:
-    """One scheme's expected distortion and, where meaningful, its optimizer.
-
-    ``optimal_param`` is the outage probability for the separation scheme,
-    the power-allocation gain threshold for the broadcast scheme, and None
-    for uncoded transmission.
-    """
-
-    scheme: GaussianScheme
-    expected_distortion: float
-    optimal_param: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -232,15 +208,6 @@ def _distortion_to_go(sys: RayleighSystem, gamma: float) -> float:
     return (math.exp(-1.0) - tail) * x * math.exp(-0.5 * (x - 1.0))
 
 
-def _bc_distortion_at(sys: RayleighSystem, gamma_p: float) -> float:
-    value = sys.sigma2 * (
-        _distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar))
-    )
-    if not 0.0 < value < sys.sigma2:
-        raise ArithmeticError(f"expected distortion {value} outside (0, sigma2)")
-    return value
-
-
 def bc_expected_distortion(sys: RayleighSystem) -> float:
     """Minimum expected MSE of broadcast superposition with a refinable source.
 
@@ -248,7 +215,13 @@ def bc_expected_distortion(sys: RayleighSystem) -> float:
     threshold; gains below gamma_P receive no layer and fall back to the
     source mean.
     """
-    return _bc_distortion_at(sys, bc_power_threshold(sys))
+    gamma_p = bc_power_threshold(sys)
+    value = sys.sigma2 * (
+        _distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar))
+    )
+    if not 0.0 < value < sys.sigma2:
+        raise ArithmeticError(f"expected distortion {value} outside (0, sigma2)")
+    return value
 
 
 def bc_rate_profile(profile: PowerProfile, gamma: float) -> float:
@@ -301,16 +274,3 @@ def bc_optimal_profile(sys: RayleighSystem) -> PowerProfile:
         total_power=sys.power,
         density=density,
     )
-
-
-def compare_schemes(sys: RayleighSystem) -> list[GaussianSchemeResult]:
-    """Evaluate all three strategies at one operating point."""
-    q_star, de_outage = optimal_outage_for_distortion(sys)
-    gamma_p = bc_power_threshold(sys)
-    return [
-        GaussianSchemeResult(GaussianScheme.UNCODED, uncoded_expected_distortion(sys), None),
-        GaussianSchemeResult(
-            GaussianScheme.BROADCAST_SEPARATION, _bc_distortion_at(sys, gamma_p), gamma_p
-        ),
-        GaussianSchemeResult(GaussianScheme.OUTAGE_SEPARATION, de_outage, q_star),
-    ]

@@ -148,12 +148,12 @@ def test_criterion_05_best_scheme_crossovers():
 def test_criterion_06_region_inclusion():
     started = time.time()
     grid = 161
-    residue_hull = bss.distortion_region(BSC, Scheme.RESIDUE_SPLITTING, grid)
-    broadcast_hull = bss.distortion_region(BSC, Scheme.BROADCAST, grid)
+    residue_hull = bss.sweep_family(BSC, Scheme.RESIDUE_SPLITTING, grid).hull()
+    broadcast_hull = bss.sweep_family(BSC, Scheme.BROADCAST, grid).hull()
     for point in broadcast_hull:
         assert specfn.hull_dominates(residue_hull, point, slack=1e-12)
     for family in (Scheme.SYSTEMATIC_GOOD, Scheme.SYSTEMATIC_BAD):
-        (point,) = bss.distortion_region(BSC, family, grid)
+        (point,) = bss.sweep_family(BSC, family, grid).hull()
         assert not specfn.hull_dominates(residue_hull, point, slack=-1e-4)
     _report(
         6,

@@ -170,15 +170,17 @@ class TestBroadcastScheme:
         assert e.expected == (1.0 - CH.p) * e.d1 + CH.p * e.d2
 
     def test_monotone_in_beta(self):
-        evals = bss.sweep_layered(CH, Scheme.BROADCAST, 101).evaluations()
-        for a, b in zip(evals, evals[1:]):
-            assert a.d1 >= b.d1 - 1e-12
-            assert a.d2 <= b.d2 + 1e-12
-            assert a.kt <= b.kt + 1e-12
+        sweep = bss.sweep_layered(CH, Scheme.BROADCAST, 101)
+        d1, d2, kt = sweep.d1.tolist(), sweep.d2.tolist(), sweep.kt.tolist()
+        for i in range(len(d1) - 1):
+            assert d1[i] >= d1[i + 1] - 1e-12
+            assert d2[i] <= d2[i + 1] + 1e-12
+            assert kt[i] <= kt[i + 1] + 1e-12
 
     def test_receiver_interface_no_larger(self):
-        for e in bss.sweep_layered(CH, Scheme.BROADCAST, 51).evaluations():
-            assert e.kr <= e.kt + 1e-12
+        sweep = bss.sweep_layered(CH, Scheme.BROADCAST, 51)
+        for kt, kr in zip(sweep.kt.tolist(), sweep.kr.tolist()):
+            assert kr <= kt + 1e-12
 
 
 class TestSystematicSchemes:
@@ -288,44 +290,43 @@ class TestResidueSplitting:
 
 class TestDistortionRegion:
     def test_broadcast_hull_endpoints(self):
-        hull = bss.distortion_region(CH, Scheme.BROADCAST, 65)
+        hull = bss.sweep_family(CH, Scheme.BROADCAST, 65).hull()
         shannon = bss.shannon_scheme(CH)
         outage = bss.outage_scheme(CH)
         assert hull[0] == (outage.d1, outage.d2)
         assert hull[-1] == (shannon.d1, shannon.d2)
 
     def test_broadcast_inside_residue_region(self):
-        bc_hull = bss.distortion_region(CH, Scheme.BROADCAST, 33)
-        rs_hull = bss.distortion_region(CH, Scheme.RESIDUE_SPLITTING, 33)
+        bc_hull = bss.sweep_family(CH, Scheme.BROADCAST, 33).hull()
+        rs_hull = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 33).hull()
         for point in bc_hull:
             assert specfn.hull_dominates(rs_hull, point, slack=1e-12)
 
     def test_systematic_points_outside_residue_region(self):
-        rs_hull = bss.distortion_region(CH, Scheme.RESIDUE_SPLITTING, 65)
+        rs_hull = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 65).hull()
         for fam in (Scheme.SYSTEMATIC_GOOD, Scheme.SYSTEMATIC_BAD):
-            (point,) = bss.distortion_region(CH, fam, 65)
+            (point,) = bss.sweep_family(CH, fam, 65).hull()
             assert not specfn.hull_dominates(rs_hull, point, slack=-1e-4)
 
     def test_hull_grows_with_grid(self):
         # 17-point and 33-point uniform sweeps share nodes (16 | 32), so the
         # finer family contains the coarser one and its hull must dominate
-        coarse = bss.distortion_region(CH, Scheme.RESIDUE_SPLITTING, 17)
-        fine = bss.distortion_region(CH, Scheme.RESIDUE_SPLITTING, 33)
+        coarse = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 17).hull()
+        fine = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 33).hull()
         for point in coarse:
             assert specfn.hull_dominates(fine, point, slack=1e-12)
 
 
 class TestFrontier:
     def test_family_sandwich(self):
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            rs, _ = bss.best_expected_distortion(CH, Scheme.RESIDUE_SPLITTING, p, 33)
-            bc, _ = bss.best_expected_distortion(CH, Scheme.BROADCAST, p, 33)
-            assert rs <= bc + 1e-12
+        frontier = bss.expected_distortion_frontier(CH, [0.1, 0.3, 0.5, 0.7, 0.9], grid=33)
+        for pt in frontier.points:
+            rs = pt.family_expected[Scheme.RESIDUE_SPLITTING]
+            assert rs <= pt.family_expected[Scheme.BROADCAST] + 1e-12
 
     def test_systematic_linear_in_p(self):
-        lo, _ = bss.best_expected_distortion(CH, Scheme.SYSTEMATIC_GOOD, 0.0, 2)
-        mid, _ = bss.best_expected_distortion(CH, Scheme.SYSTEMATIC_GOOD, 0.5, 2)
-        hi, _ = bss.best_expected_distortion(CH, Scheme.SYSTEMATIC_GOOD, 1.0, 2)
+        frontier = bss.expected_distortion_frontier(CH, [0.0, 0.5, 1.0], grid=2)
+        lo, mid, hi = (pt.family_expected[Scheme.SYSTEMATIC_GOOD] for pt in frontier.points)
         assert mid == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_frontier_points_and_crossovers(self):
@@ -357,9 +358,10 @@ class TestFrontier:
 
 class TestInterfaceTradeoff:
     def test_staircases_nonincreasing(self):
-        stairs = bss.interface_tradeoff(CH, 0.7, 33)
-        for sides in stairs.values():
-            for series in sides.values():
+        ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.7, b=2.0)
+        for sweep in bss.sweep_families(ch, 33, bss.COMPARED_FAMILIES).values():
+            columns = (sweep.kt.tolist(), sweep.kr.tolist(), sweep.expected.tolist())
+            for series in bss.interface_staircases(*columns).values():
                 ks = [k for k, _ in series]
                 des = [de for _, de in series]
                 assert ks == sorted(ks)
@@ -368,18 +370,18 @@ class TestInterfaceTradeoff:
     def test_systematic_good_extremes_at_p07(self):
         ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.7, b=2.0)
         sg = bss.systematic_scheme_good(ch)
-        competitors = (
-            bss.sweep_layered(ch, Scheme.BROADCAST, 65).evaluations()
-            + bss.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, 33).evaluations()
-            + [bss.systematic_scheme_bad(ch)]
+        sweeps = (
+            bss.sweep_layered(ch, Scheme.BROADCAST, 65),
+            bss.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, 33),
+            bss.sweep_family(ch, Scheme.SYSTEMATIC_BAD, 2),
         )
-        assert all(sg.expected < e.expected for e in competitors)
-        assert all(sg.kt > e.kt for e in competitors)
+        assert all(sg.expected < de for s in sweeps for de in s.expected.tolist())
+        assert all(sg.kt > kt for s in sweeps for kt in s.kt.tolist())
 
     def test_broadcast_distortion_not_monotone_in_complexity(self):
         ch = CompositeBsc(0.25, 0.45, 0.7, 2.0)
-        evals = bss.sweep_layered(ch, Scheme.BROADCAST, 101).evaluations()
-        des = [e.expected for e in evals]  # kt increases along the sweep
+        # kt increases along the sweep
+        des = bss.sweep_layered(ch, Scheme.BROADCAST, 101).expected.tolist()
         drops = any(a > b for a, b in zip(des, des[1:]))
         rises = any(a < b for a, b in zip(des, des[1:]))
         assert drops and rises
@@ -427,22 +429,28 @@ class TestArrayCore:
         assert (sweep.d1 == 0.0).any()
 
     def test_evaluations_keep_grid_order_and_params(self):
-        evals = bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5).evaluations()
-        assert [tuple(e.params.values()) for e in evals[:6]] == [
+        sweep = bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5)
+        assert list(zip(sweep.beta.tolist()[:6], sweep.rho.tolist()[:6])) == [
             (0.0, 0.0), (0.0, 0.25 * bss.RHO_MAX), (0.0, 0.5 * bss.RHO_MAX),
             (0.0, 0.75 * bss.RHO_MAX), (0.0, bss.RHO_MAX), (0.125, 0.0),
         ]
-        assert evals[7] == bss.residue_splitting_scheme(CH, 0.125, 0.5 * bss.RHO_MAX)
-        assert [e.params for e in bss.sweep_layered(CH, Scheme.BROADCAST, 3).evaluations()] == [
-            {"beta": 0.0}, {"beta": 0.25}, {"beta": 0.5},
-        ]
+        point = bss.residue_splitting_scheme(CH, 0.125, 0.5 * bss.RHO_MAX)
+        columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
+        assert tuple(c[7].item() for c in columns) == _fields(point)
+        assert bss.sweep_layered(CH, Scheme.BROADCAST, 3).param_columns() == (
+            [0.0, 0.25, 0.5], [None, None, None],
+        )
 
     @pytest.mark.parametrize("family", list(Scheme))
     def test_param_columns_match_params(self, family):
         sweep = bss.sweep_family(CH, family, 7)
+        params = [
+            _scalar_evaluation(CH, family, beta, rho).params
+            for beta, rho in zip(sweep.beta.tolist(), sweep.rho.tolist())
+        ]
         beta, rho = sweep.param_columns()
-        assert beta == [e.params.get("beta") for e in sweep.evaluations()]
-        assert rho == [e.params.get("rho") for e in sweep.evaluations()]
+        assert beta == [e.get("beta") for e in params]
+        assert rho == [e.get("rho") for e in params]
 
     def test_scalar_inverse_halves_the_same_number_of_times(self, monkeypatch):
         calls = []
@@ -503,14 +511,8 @@ class TestArrayCore:
         ch = _channel(*point)
         for family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
             sweep = bss.sweep_layered(ch, family, 33)
-            evals = sweep.evaluations()
-            hull = specfn.pareto_lower_hull([(e.d1, e.d2) for e in evals])
-            assert sweep.hull() == hull
-            # each vertex's parameters are those of its first point in sweep order
-            first = {}
-            for e in evals:
-                first.setdefault((e.d1, e.d2), e.params)
-            assert bss._hull_with_params(sweep) == [(x, y, first[(x, y)]) for x, y in hull]
+            points = list(zip(sweep.d1.tolist(), sweep.d2.tolist()))
+            assert sweep.hull() == specfn.pareto_lower_hull(points)
 
     def test_hull_dominates_array_matches_scalar(self):
         np = pytest.importorskip("numpy")
@@ -537,6 +539,15 @@ _POINT_EVALUATORS = {
 }
 
 
+def _scalar_evaluation(ch, family, beta, rho):
+    """The scalar evaluator of ``family`` at the sweep point (beta, rho)."""
+    if family == Scheme.BROADCAST:
+        return bss.broadcast_scheme(ch, beta)
+    if family == Scheme.RESIDUE_SPLITTING:
+        return bss.residue_splitting_scheme(ch, beta, rho)
+    return _POINT_EVALUATORS[family](ch)
+
+
 class TestRegistry:
     @pytest.mark.parametrize("point", _ARRAY_POINTS + [_LOSSLESS_POINT, _THETA_POINT])
     def test_point_families_equal_scalar_evaluators(self, point):
@@ -544,26 +555,20 @@ class TestRegistry:
         for family, scalar in _POINT_EVALUATORS.items():
             e = scalar(ch)
             sweep = bss.sweep_family(ch, family, 33)
-            (got,) = sweep.evaluations()
-            assert (got.scheme, _fields(got), got.params) == (family, _fields(e), e.params)
+            columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
+            assert sweep.scheme == family
+            assert tuple(c.tolist() for c in columns) == tuple([v] for v in _fields(e))
             assert sweep.param_columns() == ([e.params.get("beta")], [None])
-
-    def test_theta_point_reports_theta(self):
-        ch = _channel(*_THETA_POINT)
-        params = bss.sweep_family(ch, Scheme.SYSTEMATIC_BAD, 2).params(0)
-        assert set(params) == {"theta"}
-        assert params == bss.systematic_scheme_bad(ch).params
 
     @pytest.mark.parametrize("family", list(Scheme))
     def test_region_and_best_accept_every_family(self, family):
         sweep = bss.sweep_family(CH, family, 17)
-        assert bss.distortion_region(CH, family, 17) == sweep.hull()
-        evals = sweep.evaluations()
+        points = list(zip(sweep.d1.tolist(), sweep.d2.tolist()))
+        hull = sweep.hull()
+        assert hull == specfn.pareto_lower_hull(points)
         for p in (0.0, 0.37, 1.0):
-            value, params = bss.best_expected_distortion(CH, family, p, 17)
-            best = min((1.0 - p) * e.d1 + p * e.d2 for e in evals)
-            assert value == pytest.approx(best, abs=1e-15)
-            assert params in [e.params for e in evals]
+            best = min((1.0 - p) * d1 + p * d2 for d1, d2 in points)
+            assert bss._best_vertex(hull, p) == pytest.approx(best, abs=1e-15)
 
     def test_families_keep_the_given_order(self):
         families = (Scheme.SYSTEMATIC_BAD, Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING)

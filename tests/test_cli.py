@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -81,6 +82,15 @@ class TestOutputFormats:
         assert stdout == ""
         assert out_path.read_text().startswith("# command=gaussian-compare")
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_file_is_a_config_error(self, where, tmp_path, capsys):
+        out_path = tmp_path if where == "directory" else tmp_path / "nonexistent" / "x.csv"
+        code, stdout, err = run_cli(["bss-region", "--grid", "3", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write {out_path}")
+        assert len(err.splitlines()) == 1
+
 
 class TestConfigHandling:
     def test_empty_sweep_rejected(self, capsys):
@@ -116,6 +126,15 @@ class TestConfigHandling:
         config.write_text("frobnicate = 1\n")
         code, _, _ = run_cli(["gaussian-compare", "--config", str(config)], capsys)
         assert code == 2
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"grid=\xff\xfe\n")
+        code, out, err = run_cli(["bss-region", "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config file {config}")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "flags",
@@ -206,6 +225,8 @@ class TestConfigHandling:
             ["bss-frontier", "--p-grid", "0,2", "--grid", "5"],
             ["bss-frontier", "--p", "-0.5", "--grid", "5"],
             ["bss-interface", "--p-grid=-1,0.5", "--grid", "5"],
+            ["mc", "superposition", "--p", "1.5", "--trials", "1"],
+            ["mc", "superposition", "--p", "-0.1", "--trials", "1"],
         ],
     )
     def test_bss_probability_out_of_range_rejected(self, argv, capsys):
@@ -361,6 +382,13 @@ class TestConfigSpace:
 
 
 class TestImports:
+    @pytest.mark.parametrize(
+        "module", ["", ".bss_system", ".channels", ".gaussian_system", ".montecarlo", ".specfn"]
+    )
+    def test_every_public_name_resolves(self, module):
+        mod = importlib.import_module(f"composite_coder{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
     def test_cli_import_and_gaussian_commands_leave_numpy_out(self):
         src = str(Path(composite_coder.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -542,7 +570,22 @@ _PINNED_SHA256 = {
 }
 
 
+# sha256 of stdout of the Gaussian tables and the self-check report
+_PINNED_GAUSSIAN_SHA256 = {
+    "gaussian-compare": "55047f461ab08d29f4890f9a2010147ff477955c4b019158e215a425ae06c4bb",
+    "gaussian-compare --p-grid 0.01,0.1,1,10,100,1000,1e4,1e5":
+        "98d53b648e84f3b4f2f10225f4cd1584ebf7a7093d5be9559b9be4c46c7dbd38",
+    "selfcheck": "4ba6045dd287d20e21ea8f45667e24604cf71e223a555e16c2de278fdacfaba2",
+}
+
+
 class TestPinnedBytes:
+    @pytest.mark.parametrize("argv", sorted(_PINNED_GAUSSIAN_SHA256))
+    def test_gaussian_and_selfcheck_bytes(self, argv, capsys):
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_GAUSSIAN_SHA256[argv]
+
     @pytest.mark.parametrize("point, table", sorted(_PINNED_SHA256))
     def test_bss_table_bytes(self, point, table, capsys):
         with warnings.catch_warnings():

@@ -217,14 +217,6 @@ class TestSchemeOrdering:
         for a, b in zip(series, series[1:]):
             assert all(x > y for x, y in zip(a, b))
 
-    def test_compare_schemes_shape(self):
-        results = {r.scheme: r for r in gs.compare_schemes(UNIT)}
-        assert results[gs.GaussianScheme.UNCODED].optimal_param is None
-        assert 0.0 < results[gs.GaussianScheme.OUTAGE_SEPARATION].optimal_param < 1.0
-        assert results[gs.GaussianScheme.BROADCAST_SEPARATION].optimal_param == pytest.approx(
-            GOLDEN_POWER_THRESHOLD, abs=1e-8
-        )
-
 
 def _quadrature_numerator(gbar, gamma):
     # the defining integral of the interference numerator
@@ -336,14 +328,6 @@ class TestRange:
         assert gs.uncoded_expected_distortion(sys) == pytest.approx(
             1.0 - 1e-3 + 2e-6 - 6e-9 + 24e-12 - 120e-15, rel=1e-14
         )
-
-    def test_compare_schemes_at_extremes(self):
-        for power in (1e-8, 1e8):
-            sys = RayleighSystem(sigma2=1.0, power=power, gamma_bar=1.0)
-            results = {r.scheme: r for r in gs.compare_schemes(sys)}
-            bc = results[gs.GaussianScheme.BROADCAST_SEPARATION]
-            assert bc.expected_distortion == gs.bc_expected_distortion(sys)
-            assert bc.optimal_param == gs.bc_power_threshold(sys)
 
     def test_power_beyond_float_range(self):
         sys = RayleighSystem(sigma2=1.0, power=1e308, gamma_bar=10.0)
