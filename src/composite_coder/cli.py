@@ -375,10 +375,11 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
     elif cfg.experiment == "uncoded-gaussian":
         n = cfg.blocklength or 1000
         sys_ = channels.RayleighSystem(cfg.sigma2, cfg.power, cfg.gamma_bar)
-        for gamma in (0.5 * cfg.gamma_bar, cfg.gamma_bar, 2.0 * cfg.gamma_bar):
-            report = montecarlo.simulate_uncoded_gaussian(
-                montecarlo.TrialConfig(n, cfg.trials, cfg.seed), sys_, gamma
-            )
+        gammas = (0.5 * cfg.gamma_bar, cfg.gamma_bar, 2.0 * cfg.gamma_bar)
+        reports = montecarlo.simulate_uncoded_gaussian(
+            montecarlo.TrialConfig(n, cfg.trials, cfg.seed), sys_, gammas
+        )
+        for gamma, report in zip(gammas, reports):
             row(f"gamma={gamma:.6g}", n, report, gaussian_system.uncoded_state_distortion(sys_, gamma))
     elif cfg.experiment == "quantizer":
         rate = 0.5
@@ -397,7 +398,7 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
         row(f"base r2={r2:.6g}", n, base, specfn.bss_distortion_rate(r2), one_sided=True)
         row(f"refined r1+r2={r1 + r2:.6g}", n, refined,
             specfn.bss_distortion_rate(r1 + r2), one_sided=True)
-    elif cfg.experiment == "superposition":
+    else:  # superposition
         ch = _bsc(cfg)
         beta = 0.1
         boundary = channels.bsc_bc_rate_region(ch, beta)
@@ -409,8 +410,6 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
             )
             row("state=1", m, err1, None)
             row("state=2", m, err2, None)
-    else:
-        raise ConfigError(f"unknown mc experiment {cfg.experiment!r}")
     return rows
 
 
@@ -544,6 +543,14 @@ _FLOAT_KEYS = ("alpha1", "alpha2", "p", "b", "sigma2", "power", "gamma_bar")
 _INT_KEYS = ("grid", "seed", "trials", "blocklength")
 _GAUSSIAN_KEYS = {"sigma2", "power", "gamma_bar"}
 _BSC_KEYS = {"alpha1", "alpha2", "b"}
+# the model and sweep keys each mc experiment reads; it rejects the others
+_MC_KEYS = {
+    "uncoded-bsc": {"alpha1"},
+    "uncoded-gaussian": _GAUSSIAN_KEYS,
+    "quantizer": set(),
+    "msvq": set(),
+    "superposition": _BSC_KEYS | {"p"},
+}
 
 _DEFAULT_P_GRID = {
     "gaussian-compare": "0.25:8:20",
@@ -627,6 +634,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         grid_text = _DEFAULT_P_GRID.get(cfg.command)
     if grid_text is not None:
         cfg.p_grid = _parse_grid_spec(grid_text)
+    if args.p_grid is not None or "p_grid" in file_values:
+        provided.add("p_grid")
 
     for key in _FLOAT_KEYS:
         if not math.isfinite(getattr(cfg, key)):
@@ -641,6 +650,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.command == "mc":
         if cfg.experiment is None:
             raise ConfigError("mc requires an experiment name")
+        if cfg.experiment not in _MC_KEYS:
+            raise ConfigError(f"unknown mc experiment {cfg.experiment!r}")
+        unread = provided & {*_FLOAT_KEYS, "grid", "p_grid"} - _MC_KEYS[cfg.experiment]
+        if unread:
+            flags = ", ".join("--" + key.replace("_", "-") for key in sorted(unread))
+            raise ConfigError(f"mc {cfg.experiment} does not accept {flags}")
     elif cfg.experiment is not None:
         raise ConfigError(f"unexpected positional argument {cfg.experiment!r}")
     if cfg.grid < 2:
@@ -658,11 +673,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             )
         if cfg.b < 1.0:
             raise ConfigError(f"b must be >= 1, got {cfg.b}")
-        # the superposition experiment reads --p but not --p-grid
-        probabilities = (cfg.p, *cfg.p_grid) if cfg.command.startswith("bss-") else (cfg.p,)
-        for p in probabilities:
+        for p in (cfg.p, *cfg.p_grid):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
+    if cfg.experiment == "uncoded-bsc" and not 0.0 <= cfg.alpha1 <= 1.0:
+        raise ConfigError(f"crossover must lie in [0, 1], got {cfg.alpha1}")
     if cfg.command == "gaussian-compare" and cfg.gamma_bar > 0.0:
         # powers <= 0 are left to the model, which rejects them as a numeric error
         for power in cfg.p_grid:

@@ -10,6 +10,21 @@ Binary words and codebooks are held bit-packed, 64 symbols to a uint64 word
 of an XOR.  Codebook memory is the packed size: codebooks are drawn and
 packed in fixed blocks of rows, never as one float array of the whole book.
 
+Trials run in chunks.  Only what must be per trial stays per trial:
+re-keying the trial's Philox streams and drawing from them, in the order a
+trial run alone draws, into the trial's row of a chunk buffer.  Packing,
+XOR, distances, minima and means then run once per chunk along the rows,
+which gives each trial the same numbers, and each report the same bits, as
+a loop of single trials.  A chunk holds as many trials as keep each of its
+temporaries within _CHUNK_BYTES (256 KiB, 2^15 float64); a trial larger
+than that runs in a chunk of its own and draws its codewords in the blocks
+of a codebook draw.  The superposition code's cloud
+codebook scan stays per trial: batched and column-wise forms of that
+memory-bound scan were measured no faster.  Bernoulli bits come from raw
+Philox words without forming doubles: numpy's double is
+(raw >> 11) * 2^-53, so for p < 1, ``random() < p`` holds exactly when
+raw < ceil(p * 2^53) << 11, and every double lies below p >= 1.
+
 Budgets: a codebook may hold at most CODEBOOK_CAP packed uint64 words
 (128 MiB), and an uncoded trial at most BLOCKLENGTH_CAP symbols; larger
 requests raise BudgetError before anything is allocated.
@@ -27,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,9 +76,14 @@ RADIUS_SLACK_GOOD = 0.03
 
 _MASK64 = 2**64 - 1
 
-# float64 draws per codebook block: bounds the temporaries of a codebook
-# draw to 2 MiB whatever its size
+# raw words per codebook block: bounds the temporaries of a codebook draw
+# to 2 MiB whatever its size
 _BLOCK_DRAWS = 2**18
+
+# bytes of the largest temporary of a chunk of trials (2^15 float64): keeps
+# a chunk cache-sized and off the peak resident size, which a 256-trial
+# chunk of 1000-symbol Gaussian words raised by 15 MiB
+_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -125,23 +145,55 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _distances(book: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """Hamming distance from every packed codeword (row) to a packed word."""
-    return np.bitwise_count(book ^ word).sum(axis=1)
+    """Hamming distances from the packed codewords (rows) of a book to packed words.
+
+    A (size, W) book against a (W,) word gives (size,) distances, and
+    against (k, W) words a (k, size) matrix; a (k, size, W) stack of books
+    against (k, W) words gives each word's distances to its own book.
+    """
+    return np.bitwise_count(book ^ word[..., None, :]).sum(axis=-1)
+
+
+def _bernoulli(raw: np.ndarray, p: float) -> np.ndarray:
+    """``random() < p`` of the doubles Philox makes from these raw words (0 <= p)."""
+    if p >= 1.0:
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def _draw_codebook(rng: np.random.Generator, size: int, n: int, p: float) -> np.ndarray:
     """size Bernoulli(p) words of n bits, packed.
 
-    Blocks of rows are drawn in turn from one generator; ``random`` fills
-    row-major, so the bits equal those of a single (size, n) draw.  Column
-    order makes the distance kernel sum contiguous word columns.
+    Blocks of rows are drawn in turn from one generator; the raw words come
+    row-major, so the bits equal those of a single (size, n) ``random``
+    draw.  Column order makes the distance kernel sum contiguous word columns.
     """
     book = np.empty((size, -(-n // 64)), dtype=np.uint64, order="F")
     rows = max(1, _BLOCK_DRAWS // n)
     for lo in range(0, size, rows):
         hi = min(size, lo + rows)
-        book[lo:hi] = _pack(rng.random((hi - lo, n)) < p)
+        book[lo:hi] = _pack(_bernoulli(rng.bit_generator.random_raw((hi - lo, n)), p))
     return book
+
+
+def _chunks(trials: int, per_trial_bytes: int) -> Iterator[range]:
+    """Consecutive trial ranges whose temporaries of per_trial_bytes each stay
+    within _CHUNK_BYTES; a larger trial gets a range of its own."""
+    step = max(1, _CHUNK_BYTES // per_trial_bytes)
+    return (range(lo, min(trials, lo + step)) for lo in range(0, trials, step))
+
+
+def _fair_words(streams: Callable[[int], np.random.Generator], chunk: range,
+                rows: int, n: int) -> np.ndarray:
+    """Each trial's first rows words of n Bernoulli(1/2) bits from its own
+    stream, packed: shape (len(chunk), rows, words)."""
+    if len(chunk) == 1:
+        # a trial alone in its chunk may be large: draw it in codebook blocks
+        return _draw_codebook(streams(chunk[0] + 1), rows, n, 0.5)[None]
+    raw = np.empty((len(chunk), rows, n), dtype=np.uint64)
+    for block, t in zip(raw, chunk):
+        block[...] = streams(t + 1).bit_generator.random_raw((rows, n))
+    return _pack(_bernoulli(raw, 0.5))
 
 
 def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
@@ -167,36 +219,54 @@ def simulate_uncoded_bsc(cfg: TrialConfig, alpha: float) -> TrialReport:
         raise ValueError(f"crossover must lie in [0, 1], got {alpha}")
     n = _uncoded_blocklength(cfg)
     streams = _stream(cfg.seed, 0)
+    values = np.empty(cfg.trials)
+    for chunk in _chunks(cfg.trials, n):
+        flips = np.empty((len(chunk), n), dtype=bool)
+        for row, t in zip(flips, chunk):
+            bitgen = streams(t + 1).bit_generator
+            # skip the n-word source word without making it (Philox makes
+            # words 4 to a block): received ^ source is the noise word alone
+            bitgen.advance(n // 4)
+            bitgen.random_raw(n % 4)
+            row[:] = _bernoulli(bitgen.random_raw(n), alpha)
+        values[chunk.start:chunk.stop] = np.count_nonzero(flips, axis=1) / n
+    return _report(values, cfg)
 
-    def one(t: int) -> float:
-        rng = streams(t + 1)
-        rng.random(n)  # the source word: received ^ source is the noise word alone
-        return float(np.count_nonzero(rng.random(n) < alpha)) / n
 
-    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
-
-
-def simulate_uncoded_gaussian(cfg: TrialConfig, sys: RayleighSystem, gamma: float) -> TrialReport:
-    """MSE of linear transmission plus linear-MMSE estimation at gain gamma.
+def simulate_uncoded_gaussian(
+    cfg: TrialConfig, sys: RayleighSystem, gammas: Sequence[float]
+) -> list[TrialReport]:
+    """MSE of linear transmission plus linear-MMSE estimation, one report per gain.
 
     X = sqrt(power/sigma2) * V over Y = sqrt(gamma) * X + N with unit noise;
-    the analytic target is sigma2 / (1 + power * gamma).
+    the analytic target is sigma2 / (1 + power * gamma).  Every gain sees the
+    same source and noise words of a trial, drawn once.
     """
-    if gamma < 0.0:
-        raise ValueError(f"channel gain must be nonnegative, got {gamma}")
+    for gamma in gammas:
+        if gamma < 0.0:
+            raise ValueError(f"channel gain must be nonnegative, got {gamma}")
     n = _uncoded_blocklength(cfg)
     scale = math.sqrt(sys.power / sys.sigma2)
-    snr = sys.power * gamma
-    mmse_gain = math.sqrt(gamma) * scale * sys.sigma2 / (1.0 + snr)
+    # per gain: the channel's amplitude on V and the LMMSE coefficient
+    gains = [
+        (math.sqrt(gamma) * scale,
+         math.sqrt(gamma) * scale * sys.sigma2 / (1.0 + sys.power * gamma))
+        for gamma in gammas
+    ]
     streams = _stream(cfg.seed, 0)
-
-    def one(t: int) -> float:
-        rng = streams(t + 1)
-        v = rng.standard_normal(n) * math.sqrt(sys.sigma2)
-        y = math.sqrt(gamma) * scale * v + rng.standard_normal(n)
-        return float(np.mean((v - mmse_gain * y) ** 2))
-
-    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
+    values = np.empty((len(gains), cfg.trials))
+    for chunk in _chunks(cfg.trials, 8 * n):
+        v = np.empty((len(chunk), n))
+        z = np.empty((len(chunk), n))
+        for v_row, z_row, t in zip(v, z, chunk):
+            rng = streams(t + 1)
+            rng.standard_normal(out=v_row)
+            rng.standard_normal(out=z_row)
+        v *= math.sqrt(sys.sigma2)
+        for row, (amplitude, mmse_gain) in zip(values, gains):
+            y = amplitude * v + z
+            row[chunk.start:chunk.stop] = np.mean((v - mmse_gain * y) ** 2, axis=1)
+    return [_report(row, cfg) for row in values]
 
 
 def _codebook_size(rate: float, n: int) -> int:
@@ -232,12 +302,11 @@ def simulate_random_quantizer(cfg: TrialConfig, rate: float) -> TrialReport:
     n = cfg.blocklength
     codebook = _source_codebook(cfg.seed, _codebook_size(rate, n), n)
     streams = _stream(cfg.seed, 1)
-
-    def one(t: int) -> float:
-        source = _pack(streams(t + 1).random(n) < 0.5)
-        return float(_distances(codebook, source).min()) / n
-
-    return _report(np.array([one(t) for t in range(cfg.trials)]), cfg)
+    values = np.empty(cfg.trials)
+    for chunk in _chunks(cfg.trials, max(8 * n, codebook.nbytes)):
+        sources = _fair_words(streams, chunk, 1, n)[:, 0]
+        values[chunk.start:chunk.stop] = _distances(codebook, sources).min(axis=1) / n
+    return _report(values, cfg)
 
 
 def simulate_msvq(cfg: TrialConfig, r2: float, r1: float) -> tuple[TrialReport, TrialReport]:
@@ -263,26 +332,22 @@ def simulate_msvq(cfg: TrialConfig, r2: float, r1: float) -> tuple[TrialReport, 
     base_book = _source_codebook(cfg.seed, size2, n)
     refine_book = _draw_codebook(_stream(cfg.seed, 1)(0), size1, n, lam)
     streams = _stream(cfg.seed, 2)
-
-    def one(t: int) -> tuple[float, float]:
-        source = _pack(streams(t + 1).random(n) < 0.5)
-        base_dist = _distances(base_book, source)
-        idx = int(base_dist.argmin())
-        residue = source ^ base_book[idx]
-        return float(base_dist[idx]) / n, float(_distances(refine_book, residue).min()) / n
-
-    pairs = [one(t) for t in range(cfg.trials)]
-    base = np.array([p[0] for p in pairs])
-    refined = np.array([p[1] for p in pairs])
+    base = np.empty(cfg.trials)
+    refined = np.empty(cfg.trials)
+    for chunk in _chunks(cfg.trials, max(8 * n, base_book.nbytes, refine_book.nbytes)):
+        sources = _fair_words(streams, chunk, 1, n)[:, 0]
+        base_dist = _distances(base_book, sources)
+        idx = base_dist.argmin(axis=1)  # the first minimum, as for one trial
+        base[chunk.start:chunk.stop] = base_dist[np.arange(len(chunk)), idx] / n
+        residues = sources ^ base_book[idx]
+        refined[chunk.start:chunk.stop] = _distances(refine_book, residues).min(axis=1) / n
     return _report(base, cfg), _report(refined, cfg)
 
 
-def _unique_in_ball(distances: np.ndarray, radius_count: int) -> int:
-    """Index of the unique codeword within the ball, or -1 (none/ambiguous)."""
-    inside = np.flatnonzero(distances <= radius_count)
-    if len(inside) == 1:
-        return int(inside[0])
-    return -1
+def _unique_in_ball(distances: np.ndarray, radius_count: int) -> np.ndarray:
+    """Per row, the index of the unique codeword within the ball, or -1 (none/ambiguous)."""
+    inside = distances <= radius_count
+    return np.where(np.count_nonzero(inside, axis=-1) == 1, inside.argmax(axis=-1), -1)
 
 
 def simulate_superposition_bc(
@@ -331,55 +396,58 @@ def simulate_superposition_bc(
     radius_good = int(math.floor((specfn.binary_convolve(ch.alpha1, beta) + slack_good) * m + 1e-9))
 
     ball_failures = {"bad_u": 0, "good_u": 0, "good_q_tie": 0}
-
-    def one(t: int) -> tuple[float, float]:
-        rng = messages(t + 1)
-        book_u = _draw_codebook(base_books(t + 1), size_u, m, 0.5)
-        w1 = int(rng.integers(size_q))
-        w2 = int(rng.integers(size_u))
-        x = book_q[w1] ^ book_u[w2]
-        z_good = x ^ _pack(rng.random(m) < ch.alpha1)
-        z_bad = x ^ _pack(rng.random(m) < ch.alpha2)
+    err_good = np.empty(cfg.trials)
+    err_bad = np.empty(cfg.trials)
+    # per trial, the raw words of the base codebook or of the two noise words
+    for chunk in _chunks(cfg.trials, 8 * m * max(size_u, 2)):
+        k = len(chunk)
+        w1 = np.empty(k, dtype=np.intp)
+        w2 = np.empty(k, dtype=np.intp)
+        noise = np.empty((k, 2 * m), dtype=np.uint64)
+        for i, t in enumerate(chunk):
+            rng = messages(t + 1)
+            w1[i] = rng.integers(size_q)
+            w2[i] = rng.integers(size_u)
+            noise[i] = rng.bit_generator.random_raw(2 * m)  # good-state then bad-state noise
+        books_u = _fair_words(base_books, chunk, size_u, m)
+        rows = np.arange(k)
+        x = book_q[w1] ^ books_u[rows, w2]
+        z_good = x ^ _pack(_bernoulli(noise[:, :m], ch.alpha1))
+        z_bad = x ^ _pack(_bernoulli(noise[:, m:], ch.alpha2))
 
         # bad state: base layer only
         if size_u == 1:
-            err_bad = 0.0
+            err_bad[chunk.start:chunk.stop] = 0.0
         else:
-            got = _unique_in_ball(_distances(book_u, z_bad), radius_bad)
-            if got < 0:
-                ball_failures["bad_u"] += 1
-            err_bad = 0.0 if got == w2 else 1.0
+            got = _unique_in_ball(_distances(books_u, z_bad), radius_bad)
+            ball_failures["bad_u"] += int(np.count_nonzero(got < 0))
+            err_bad[chunk.start:chunk.stop] = got != w2
 
         # good state: base layer, then stripped cloud layer
         if size_u == 1:
-            w2_hat = 0
+            w2_hat = np.zeros(k, dtype=np.intp)
         else:
-            w2_hat = _unique_in_ball(_distances(book_u, z_good), radius_good)
-            if w2_hat < 0:
-                ball_failures["good_u"] += 1
-        if w2_hat < 0:
-            err_good = 1.0
-        elif size_q == 1:
-            err_good = 0.0 if w2_hat == w2 else 1.0
-        else:
-            stripped = z_good ^ book_u[w2_hat]
-            dist_q = _distances(book_q, stripped)
-            nearest = np.flatnonzero(dist_q == dist_q.min())
-            if len(nearest) != 1:
-                ball_failures["good_q_tie"] += 1
-                err_good = 1.0
-            else:
-                err_good = 0.0 if (int(nearest[0]) == w1 and w2_hat == w2) else 1.0
-        return err_good, err_bad
+            w2_hat = _unique_in_ball(_distances(books_u, z_good), radius_good)
+            ball_failures["good_u"] += int(np.count_nonzero(w2_hat < 0))
+        wrong = w2_hat != w2  # also every failed base decode
+        if size_q > 1:
+            # a failed base decode (w2_hat = -1) strips a word that is never read
+            stripped = z_good ^ books_u[rows, w2_hat]
+            for i in np.flatnonzero(w2_hat >= 0):
+                dist_q = _distances(book_q, stripped[i])
+                nearest = np.flatnonzero(dist_q == dist_q.min())
+                if len(nearest) != 1:
+                    ball_failures["good_q_tie"] += 1
+                    wrong[i] = True
+                elif nearest[0] != w1[i]:
+                    wrong[i] = True
+        err_good[chunk.start:chunk.stop] = wrong
 
-    pairs = [one(t) for t in range(cfg.trials)]
     if any(ball_failures.values()):
         log.debug(
             "superposition decode diagnostics (m=%d, trials=%d): %s",
             m,
             cfg.trials,
-            {k: v / cfg.trials for k, v in ball_failures.items()},
+            {name: v / cfg.trials for name, v in ball_failures.items()},
         )
-    err1 = np.array([p[0] for p in pairs])
-    err2 = np.array([p[1] for p in pairs])
-    return _report(err1, cfg), _report(err2, cfg)
+    return _report(err_good, cfg), _report(err_bad, cfg)

@@ -221,7 +221,7 @@ def test_criterion_09_monte_carlo_targets():
         assert abs(r.mean - 0.25) <= 3.0 * r.half_width_95
 
         sys = RayleighSystem(sigma2=1.0, power=1.0, gamma_bar=1.0)
-        r = mc.simulate_uncoded_gaussian(TrialConfig(1000, 200, seed), sys, 1.0)
+        [r] = mc.simulate_uncoded_gaussian(TrialConfig(1000, 200, seed), sys, [1.0])
         assert abs(r.mean - 0.5) <= 3.0 * r.half_width_95
 
         for n, rate in ((8, 0.5), (12, 0.5), (16, 0.5)):

@@ -152,6 +152,47 @@ class TestConfigHandling:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1"])
+    def test_uncoded_bsc_crossover_out_of_range_rejected(self, alpha, capsys):
+        argv = ["mc", "uncoded-bsc", f"--alpha1={alpha}", "--trials", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: crossover must lie in [0, 1], got {float(alpha)}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["mc", "msvq", "--sigma2", "-1"], "--sigma2"),
+            (["mc", "quantizer", "--b", "0.5"], "--b"),
+            (["mc", "superposition", "--p-grid", "5,6"], "--p-grid"),
+            (["mc", "uncoded-gaussian", "--alpha1", "0.1", "--grid", "9"], "--alpha1, --grid"),
+            (["mc", "uncoded-bsc", "--alpha2", "0.3", "--p", "0.5"], "--alpha2, --p"),
+        ],
+    )
+    def test_mc_unread_flags_rejected(self, argv, flags, capsys):
+        code, out, err = run_cli(argv + ["--trials", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: mc {argv[1]} does not accept {flags}\n"
+
+    def test_mc_unread_config_file_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("p-grid = 0.5,1\n")
+        code, _, err = run_cli(["mc", "quantizer", "--config", str(config)], capsys)
+        assert code == 2
+        assert err == "config error: mc quantizer does not accept --p-grid\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "uncoded-bsc", "--alpha1", "0.7"],
+            ["mc", "uncoded-gaussian", "--sigma2", "2", "--power", "3", "--gamma-bar", "0.5"],
+            ["mc", "superposition", "--alpha1", "0.2", "--alpha2", "0.4", "--p", "0.3", "--b", "3"],
+        ],
+    )
+    def test_mc_read_flags_accepted(self, argv, capsys):
+        code, _, _ = run_cli(argv + ["--trials", "2", "--blocklength", "16"], capsys)
+        assert code == 0
+
     def test_mc_seed_range_edges_accepted(self, capsys):
         for seed in ("0", str(2**64 - 1)):
             code, _, _ = run_cli(
@@ -579,6 +620,48 @@ _PINNED_GAUSSIAN_SHA256 = {
 }
 
 
+# sha256 of stdout of every mc experiment, recorded before the chunked kernels;
+# trial counts straddle the trial chunks and uncoded-bsc covers n mod 4 = 0..3
+_PINNED_MC_SHA256 = {
+    "mc uncoded-bsc --trials 77 --seed 3":
+        "17cc5c6ee59807e43f6ed158222c3c13e605f0844be388750cb6b541a3c9e14a",
+    "mc uncoded-bsc --trials 1 --seed 4":
+        "7baa070e72238069a04806a4275807194c12c1cdbfc81be82372299a6b28bcac",
+    "mc uncoded-bsc --trials 77 --blocklength 1001 --alpha1 0.1":
+        "ac8385029ad94e90c135e6d61d567a5bc8cd62137887010d93e7dd2ba3efddb6",
+    "mc uncoded-bsc --trials 33 --blocklength 1002 --alpha1 0.37":
+        "6534d717dc4c1a0f2a4059f08fa93886e146d58e7e516e861650545a8fd3b2e0",
+    "mc uncoded-bsc --trials 33 --blocklength 1003 --alpha1 0.5 --seed 18446744073709551615":
+        "4d99226c8deabb5b37a02bc9f973773db1bd1ea59e5b1fd06bb3ef3583711c25",
+    "mc uncoded-bsc --trials 5 --blocklength 1 --alpha1 0.9":
+        "beffa5991865e35eff788b58b6365437517ee9e3fc6d56c5d1f8bc0b33234cdb",
+    "mc uncoded-gaussian --trials 77":
+        "fbfccc11a43debd5a23b6ebd27478906031de5dc9ed4ca07f8d7c250f80cbe68",
+    "mc uncoded-gaussian --trials 1":
+        "2ed6cfdd9eea2df802c50552231072478ab2e38d2e65f3c899a45b0bf1e3e231",
+    "mc uncoded-gaussian --trials 40 --blocklength 33 --sigma2 0.5 --power 2 --gamma-bar 3":
+        "60fcfb4dbfee53e101734806ed2944cf85e224d177d37022187e793fc4b59679",
+    "mc quantizer --trials 77":
+        "3ce6ebcdd63ffefcb7915ea82f64965dec4513c675a46e97cb61b2d87d3084ca",
+    "mc quantizer --trials 1":
+        "23a1f6ee12dde8c3e9ea510921a43b4d036337c77d509d5746bac1b15bfab24f",
+    "mc quantizer --trials 300 --blocklength 20 --seed 9":
+        "35e7dcf7cfb313507ab166c45cb12ec576763a103f5f69af97ad0e39709c5c59",
+    "mc msvq --trials 77":
+        "d89a2dab3e0056ab00d69d2c4bf6a65fde052e34474c0d7cd00c0788a5994083",
+    "mc msvq --trials 1":
+        "3c27adf9b4710b9da4770403aa72147586ed56b1574c185c43e057296cf8816b",
+    "mc msvq --trials 300 --blocklength 24 --seed 9":
+        "809ac290527db48c425c199c6182e4d33884abc2fa97a9c1462af4993e7fd31b",
+    "mc superposition --trials 77":
+        "71447e2bcb869bacafa8c8a326f2bbc35eeb754daed708056ea804bf2529e0b6",
+    "mc superposition --trials 1":
+        "72fd5602ed48720790268b929e98add02c09f55a4b3170259c82b933c52d8753",
+    "mc superposition --trials 33 --blocklength 100 --alpha1 0.26 --alpha2 0.4 --format json":
+        "6029decc19d4a2e2d2af6c76e53d8e45bb6db24bc3a8e7ce8191cdd059818a7c",
+}
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize("argv", sorted(_PINNED_GAUSSIAN_SHA256))
     def test_gaussian_and_selfcheck_bytes(self, argv, capsys):
@@ -594,6 +677,12 @@ class TestPinnedBytes:
             code, out, _ = run_cli(_TABLES[table] + _POINTS[point], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SHA256[(point, table)]
+
+    @pytest.mark.parametrize("argv", sorted(_PINNED_MC_SHA256))
+    def test_mc_bytes(self, argv, capsys):
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_MC_SHA256[argv]
 
 
 # The renderers as they were before the column-wise rewrite: one call per cell

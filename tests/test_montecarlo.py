@@ -85,14 +85,14 @@ class TestUncodedGaussian:
 
     def test_zero_gain_returns_variance(self):
         def check(seed):
-            r = mc.simulate_uncoded_gaussian(TrialConfig(1000, 100, seed), self.SYS, 0.0)
+            [r] = mc.simulate_uncoded_gaussian(TrialConfig(1000, 100, seed), self.SYS, [0.0])
             assert abs(r.mean - 1.0) <= 3.0 * r.half_width_95
 
         stochastic(check)
 
     def test_unit_gain_target(self):
         def check(seed):
-            r = mc.simulate_uncoded_gaussian(TrialConfig(1000, 200, seed), self.SYS, 1.0)
+            [r] = mc.simulate_uncoded_gaussian(TrialConfig(1000, 200, seed), self.SYS, [1.0])
             assert abs(r.mean - 0.5) <= 3.0 * r.half_width_95
 
         stochastic(check)
@@ -102,8 +102,8 @@ class TestUncodedGaussian:
 
         def check(seed):
             cfg = TrialConfig(1000, 100, seed)
-            weak_r = mc.simulate_uncoded_gaussian(cfg, self.SYS, 1.0)
-            strong_r = mc.simulate_uncoded_gaussian(cfg, strong, 1.0)
+            [weak_r] = mc.simulate_uncoded_gaussian(cfg, self.SYS, [1.0])
+            [strong_r] = mc.simulate_uncoded_gaussian(cfg, strong, [1.0])
             assert strong_r.mean < weak_r.mean
 
         stochastic(check)
@@ -221,9 +221,9 @@ class TestPinnedOutputs:
             0.29600000000000004, 0.014424444131603379, 30, 5
         )
         sys_ = RayleighSystem(1.0, 2.0, 1.0)
-        assert mc.simulate_uncoded_gaussian(TrialConfig(50, 30, 6), sys_, 0.7) == TrialReport(
+        assert mc.simulate_uncoded_gaussian(TrialConfig(50, 30, 6), sys_, [0.7]) == [TrialReport(
             0.4377661712085291, 0.029164718452287124, 30, 6
-        )
+        )]
 
     def test_quantizer(self):
         assert mc.simulate_random_quantizer(TrialConfig(10, 30, 7), 1.0) == TrialReport(
@@ -334,3 +334,246 @@ class TestCodebookMemory:
             tracemalloc.stop()
         assert report.trials == 2
         assert peak < 64 * 2**20
+
+
+# The simulations as they were before chunking: one trial at a time, with
+# float draws (``random() < p``) and one codebook draw per book.  They are
+# the oracle for the chunked kernels, which must give the same reports.
+
+
+def _loop_codebook(rng, size, n, p):
+    return mc._pack(rng.random((size, n)) < p)
+
+
+def _loop_source_codebook(seed, size, n):
+    if size >= 2**n:
+        return np.arange(2**n, dtype=np.uint64)[:, None]
+    return _loop_codebook(mc._stream(seed, 0)(0), size, n, 0.5)
+
+
+def _loop_distances(book, word):
+    return np.bitwise_count(book ^ word).sum(axis=1)
+
+
+def _loop_uncoded_bsc(cfg, alpha):
+    n, streams = cfg.blocklength, mc._stream(cfg.seed, 0)
+
+    def one(t):
+        rng = streams(t + 1)
+        rng.random(n)
+        return float(np.count_nonzero(rng.random(n) < alpha)) / n
+
+    return mc._report(np.array([one(t) for t in range(cfg.trials)]), cfg)
+
+
+def _loop_uncoded_gaussian(cfg, sys, gamma):
+    n, streams = cfg.blocklength, mc._stream(cfg.seed, 0)
+    scale = math.sqrt(sys.power / sys.sigma2)
+    mmse_gain = math.sqrt(gamma) * scale * sys.sigma2 / (1.0 + sys.power * gamma)
+
+    def one(t):
+        rng = streams(t + 1)
+        v = rng.standard_normal(n) * math.sqrt(sys.sigma2)
+        y = math.sqrt(gamma) * scale * v + rng.standard_normal(n)
+        return float(np.mean((v - mmse_gain * y) ** 2))
+
+    return mc._report(np.array([one(t) for t in range(cfg.trials)]), cfg)
+
+
+def _loop_random_quantizer(cfg, rate):
+    n = cfg.blocklength
+    codebook = _loop_source_codebook(cfg.seed, mc._codebook_size(rate, n), n)
+    streams = mc._stream(cfg.seed, 1)
+
+    def one(t):
+        source = mc._pack(streams(t + 1).random(n) < 0.5)
+        return float(_loop_distances(codebook, source).min()) / n
+
+    return mc._report(np.array([one(t) for t in range(cfg.trials)]), cfg)
+
+
+def _loop_msvq(cfg, r2, r1):
+    n = cfg.blocklength
+    d2_target = specfn.bss_distortion_rate(r2)
+    d1_target = specfn.bss_distortion_rate(r1 + r2)
+    lam = 0.0 if 1.0 - 2.0 * d1_target <= 0.0 else (d2_target - d1_target) / (1.0 - 2.0 * d1_target)
+    base_book = _loop_source_codebook(cfg.seed, mc._codebook_size(r2, n), n)
+    refine_book = _loop_codebook(mc._stream(cfg.seed, 1)(0), mc._codebook_size(r1, n), n, lam)
+    streams = mc._stream(cfg.seed, 2)
+
+    def one(t):
+        source = mc._pack(streams(t + 1).random(n) < 0.5)
+        base_dist = _loop_distances(base_book, source)
+        idx = int(base_dist.argmin())
+        residue = source ^ base_book[idx]
+        return float(base_dist[idx]) / n, float(_loop_distances(refine_book, residue).min()) / n
+
+    pairs = [one(t) for t in range(cfg.trials)]
+    return (mc._report(np.array([p[0] for p in pairs]), cfg),
+            mc._report(np.array([p[1] for p in pairs]), cfg))
+
+
+def _loop_unique_in_ball(distances, radius_count):
+    inside = np.flatnonzero(distances <= radius_count)
+    return int(inside[0]) if len(inside) == 1 else -1
+
+
+def _loop_superposition(cfg, ch, beta, rates):
+    """The reports and the ball-failure counts."""
+    m = cfg.blocklength
+    size_u = mc._codebook_size(rates.r2, m)
+    size_q = mc._codebook_size(rates.r1, m)
+    book_q = _loop_codebook(mc._stream(cfg.seed, 1)(0), size_q, m, beta)
+    messages, base_books = mc._stream(cfg.seed, 2), mc._stream(cfg.seed, 3)
+    radius_bad = int(math.floor(
+        (specfn.binary_convolve(ch.alpha2, beta) + mc.RADIUS_SLACK_BASE) * m + 1e-9))
+    radius_good = int(math.floor(
+        (specfn.binary_convolve(ch.alpha1, beta) + mc.RADIUS_SLACK_GOOD) * m + 1e-9))
+    failures = {"bad_u": 0, "good_u": 0, "good_q_tie": 0}
+
+    def one(t):
+        rng = messages(t + 1)
+        book_u = _loop_codebook(base_books(t + 1), size_u, m, 0.5)
+        w1 = int(rng.integers(size_q))
+        w2 = int(rng.integers(size_u))
+        x = book_q[w1] ^ book_u[w2]
+        z_good = x ^ mc._pack(rng.random(m) < ch.alpha1)
+        z_bad = x ^ mc._pack(rng.random(m) < ch.alpha2)
+        if size_u == 1:
+            err_bad = 0.0
+        else:
+            got = _loop_unique_in_ball(_loop_distances(book_u, z_bad), radius_bad)
+            failures["bad_u"] += got < 0
+            err_bad = 0.0 if got == w2 else 1.0
+        if size_u == 1:
+            w2_hat = 0
+        else:
+            w2_hat = _loop_unique_in_ball(_loop_distances(book_u, z_good), radius_good)
+            failures["good_u"] += w2_hat < 0
+        if w2_hat < 0:
+            err_good = 1.0
+        elif size_q == 1:
+            err_good = 0.0 if w2_hat == w2 else 1.0
+        else:
+            dist_q = _loop_distances(book_q, z_good ^ book_u[w2_hat])
+            nearest = np.flatnonzero(dist_q == dist_q.min())
+            if len(nearest) != 1:
+                failures["good_q_tie"] += 1
+                err_good = 1.0
+            else:
+                err_good = 0.0 if (int(nearest[0]) == w1 and w2_hat == w2) else 1.0
+        return err_good, err_bad
+
+    pairs = [one(t) for t in range(cfg.trials)]
+    reports = (mc._report(np.array([p[0] for p in pairs]), cfg),
+               mc._report(np.array([p[1] for p in pairs]), cfg))
+    return reports, failures
+
+
+STEP = 8  # trials per chunk in the oracle tests: counts straddle one and two chunks
+TRIAL_COUNTS = [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1]
+EDGE_PROBABILITIES = [0.0, 1e-300, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+def _chunk_of(monkeypatch, per_trial_bytes):
+    """Make the chunks STEP trials of per_trial_bytes each."""
+    monkeypatch.setattr(mc, "_CHUNK_BYTES", STEP * per_trial_bytes)
+
+
+class TestChunkedMatchesLoop:
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_raw_word_bernoulli(self, p):
+        key = np.array([5, 6], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(4096)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(4096)
+        assert np.array_equal(mc._bernoulli(raw, p), doubles < p)
+
+    def test_raw_word_bernoulli_at_a_drawn_double(self):
+        key = np.array([5, 6], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(64)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(64)
+        # below 1/2 an ulp is under 2^-53, so p * 2^53 one ulp above a draw is
+        # not an integer and only rounding it up keeps that draw below p
+        u = doubles[doubles < 0.5][0]
+        for p in (u, np.nextafter(u, 1.0)):
+            assert np.array_equal(mc._bernoulli(raw, float(p)), doubles < p)
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_codebook_draw(self, p):
+        book = mc._draw_codebook(np.random.Generator(np.random.Philox(key=[3, 4])), 40, 100, p)
+        oracle = _loop_codebook(np.random.Generator(np.random.Philox(key=[3, 4])), 40, 100, p)
+        assert np.array_equal(book, oracle)
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 100])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_uncoded_bsc(self, n, trials, monkeypatch):
+        _chunk_of(monkeypatch, 8 * n)
+        cfg = TrialConfig(n, trials, 31)
+        for alpha in EDGE_PROBABILITIES:
+            assert mc.simulate_uncoded_bsc(cfg, alpha) == _loop_uncoded_bsc(cfg, alpha)
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 100])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_uncoded_gaussian(self, n, trials, monkeypatch):
+        _chunk_of(monkeypatch, 8 * n)
+        cfg = TrialConfig(n, trials, 32)
+        sys_ = RayleighSystem(0.7, 3.0, 1.5)
+        gammas = [0.0, 0.75, 1.5, 3.0]
+        assert mc.simulate_uncoded_gaussian(cfg, sys_, gammas) == [
+            _loop_uncoded_gaussian(cfg, sys_, g) for g in gammas
+        ]
+
+    def test_uncoded_gaussian_at_the_default_chunk(self):
+        # 1000 symbols: 32 trials per chunk
+        cfg = TrialConfig(1000, 33, 33)
+        sys_ = RayleighSystem(1.0, 1.0, 1.0)
+        assert mc.simulate_uncoded_gaussian(cfg, sys_, [0.5, 2.0]) == [
+            _loop_uncoded_gaussian(cfg, sys_, g) for g in (0.5, 2.0)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, rate", [(1, 0.5), (8, 1.0), (12, 0.5), (63, 0.1), (65, 0.1), (100, 0.05)]
+    )
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_random_quantizer(self, n, rate, trials, monkeypatch):
+        size = min(mc._codebook_size(rate, n), 2**n)
+        _chunk_of(monkeypatch, max(8 * n, 8 * size * -(-n // 64)))
+        cfg = TrialConfig(n, trials, 34)
+        assert mc.simulate_random_quantizer(cfg, rate) == _loop_random_quantizer(cfg, rate)
+
+    def test_random_quantizer_alone_in_its_chunk(self):
+        # 2^16 codewords of 32 bits: 512 KiB per trial, above the chunk bound
+        cfg = TrialConfig(32, 3, 35)
+        assert [len(c) for c in mc._chunks(3, 8 * 2**16)] == [1, 1, 1]
+        assert mc.simulate_random_quantizer(cfg, 0.5) == _loop_random_quantizer(cfg, 0.5)
+
+    @pytest.mark.parametrize("n, r2, r1", [(1, 0.5, 0.5), (16, 0.5, 0.25), (63, 0.1, 0.05),
+                                           (65, 0.1, 0.05), (100, 0.05, 0.03), (16, 0.5, 0.0)])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_msvq(self, n, r2, r1, trials, monkeypatch):
+        words = -(-n // 64)
+        size2 = min(mc._codebook_size(r2, n), 2**n)
+        size1 = mc._codebook_size(r1, n)
+        _chunk_of(monkeypatch, max(8 * n, 8 * size2 * words, 8 * size1 * words))
+        cfg = TrialConfig(n, trials, 36)
+        assert mc.simulate_msvq(cfg, r2, r1) == _loop_msvq(cfg, r2, r1)
+
+    @pytest.mark.parametrize("m", [1, 63, 65, 100])
+    @pytest.mark.parametrize("beta", [0.0, 1e-300, 0.1, 0.5])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_superposition(self, m, beta, trials, monkeypatch, caplog):
+        ch = CompositeBsc(0.25, 0.35, 0.5, 2.0)  # up to 11 base codewords at m = 100
+        boundary = bsc_bc_rate_region(ch, beta)
+        for rates in (RatePair(0.8 * boundary.r1, 0.8 * boundary.r2),
+                      RatePair(0.8 * boundary.r1, 0.0), RatePair(0.0, 0.8 * boundary.r2)):
+            size_u = mc._codebook_size(rates.r2, m)
+            _chunk_of(monkeypatch, 8 * m * max(size_u, 2))
+            cfg = TrialConfig(m, trials, 37)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger=mc.log.name):
+                got = mc.simulate_superposition_bc(cfg, ch, beta, rates)
+            want, failures = _loop_superposition(cfg, ch, beta, rates)
+            assert got == want
+            logged = [r.args[2] for r in caplog.records]
+            expected = {k: v / trials for k, v in failures.items()}
+            assert logged == ([expected] if any(failures.values()) else [])
