@@ -349,6 +349,11 @@ def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
     )
 
 
+def _uncoded_gains(gamma_bar: float) -> tuple[float, float, float]:
+    """The channel gains mc uncoded-gaussian simulates."""
+    return 0.5 * gamma_bar, gamma_bar, 2.0 * gamma_bar
+
+
 def _mc_rows(cfg: RunConfig) -> list[list[object]]:
     from . import montecarlo
 
@@ -375,7 +380,7 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
     elif cfg.experiment == "uncoded-gaussian":
         n = cfg.blocklength or 1000
         sys_ = channels.RayleighSystem(cfg.sigma2, cfg.power, cfg.gamma_bar)
-        gammas = (0.5 * cfg.gamma_bar, cfg.gamma_bar, 2.0 * cfg.gamma_bar)
+        gammas = _uncoded_gains(cfg.gamma_bar)
         reports = montecarlo.simulate_uncoded_gaussian(
             montecarlo.TrialConfig(n, cfg.trials, cfg.seed), sys_, gammas
         )
@@ -598,6 +603,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_normal(name: str, value: float) -> None:
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise ConfigError(f"{name} = {value!r} is not a positive normal float")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if args.config else {}
     known = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"p_grid", "out", "format"}
@@ -678,15 +688,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
     if cfg.experiment == "uncoded-bsc" and not 0.0 <= cfg.alpha1 <= 1.0:
         raise ConfigError(f"crossover must lie in [0, 1], got {cfg.alpha1}")
+    # parameters <= 0 are left to the model, which rejects them as a numeric error
     if cfg.command == "gaussian-compare" and cfg.gamma_bar > 0.0:
-        # powers <= 0 are left to the model, which rejects them as a numeric error
         for power in cfg.p_grid:
-            a = power * cfg.gamma_bar
-            if power > 0.0 and not sys.float_info.min <= a <= sys.float_info.max:
-                raise ConfigError(
-                    f"P*gamma_bar = {power!r}*{cfg.gamma_bar!r} = {a!r} "
-                    "is not a positive normal float"
-                )
+            if power > 0.0:
+                _check_normal(f"P*gamma_bar = {power!r}*{cfg.gamma_bar!r}", power * cfg.gamma_bar)
+    if cfg.experiment == "uncoded-gaussian" and min(cfg.sigma2, cfg.power, cfg.gamma_bar) > 0.0:
+        _check_normal("sigma2", cfg.sigma2)
+        _check_normal(f"P/sigma2 = {cfg.power!r}/{cfg.sigma2!r}", cfg.power / cfg.sigma2)
+        for gamma in _uncoded_gains(cfg.gamma_bar):
+            _check_normal(f"P*gamma = {cfg.power!r}*{gamma!r}", cfg.power * gamma)
     if cfg.command == "bss-interface" and "p" not in provided:
         cfg.p = 0.7
     return cfg

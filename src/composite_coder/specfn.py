@@ -42,6 +42,9 @@ __all__ = [
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
+# above this argument the asymptotic series of exp(x)*E1(x) is exact to rounding
+_ASYMPTOTIC_E1_MIN = 1e6
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -112,19 +115,20 @@ def exp_integral(x: float) -> float:
 
     Alternating series up to 1; above that, the continued fraction of
     ``scaled_exp_integral`` times exp(-x).  Both converge to near machine
-    precision in double arithmetic.
+    precision in double arithmetic.  The series terms carry their own sign,
+    and its partial sums lie in [0, x], so the stop test is absolute.
     """
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got {x}")
     if x > 1.0:
         return scaled_exp_integral(x) * math.exp(-x)
     total = 0.0
-    term = 1.0
+    term = -1.0
     for k in range(1, 80):
-        term *= x / k
+        term *= -x / k
         contrib = term / k
-        total += contrib if k % 2 == 1 else -contrib
-        if contrib < 1e-18 * max(1.0, abs(total)):
+        total += contrib
+        if -1e-18 < contrib < 1e-18:
             break
     return -EULER_GAMMA - math.log(x) + total
 
@@ -134,7 +138,10 @@ def scaled_exp_integral(x: float) -> float:
 
     Above 1 it is the modified-Lentz continued fraction of Abramowitz &
     Stegun 5.1.22, which never forms exp(x); at and below 1 it is exp(x)
-    times the series of ``exp_integral``.
+    times the series of ``exp_integral``.  From about x = 1e11 the fraction
+    can stall with its step one ulp away from 1; there, and only there, the
+    asymptotic series of A&S 5.1.51 takes over, whose first omitted term is
+    below 24/x^4 relative.
     """
     if not x > 1.0:
         return math.exp(x) * exp_integral(x)
@@ -154,6 +161,9 @@ def scaled_exp_integral(x: float) -> float:
         f *= delta
         if abs(delta - 1.0) < 1e-16:
             return f
+    if x > _ASYMPTOTIC_E1_MIN:
+        s = 1.0 / x
+        return s * (1.0 - s * (1.0 - s * (2.0 - 6.0 * s)))
     raise ConvergenceError(f"continued fraction for exp_integral({x}) did not settle")
 
 

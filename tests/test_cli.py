@@ -290,6 +290,20 @@ class TestConfigHandling:
         assert out == ""
         assert "P*gamma_bar" in err and "not a positive normal float" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gamma-bar", "1e308"], "P*gamma = 1.0*inf = inf"),
+            (["--sigma2", "1e-320"], "sigma2 = 1e-320"),
+            (["--power", "1e308"], "P*gamma = 1e+308*2.0 = inf"),
+        ],
+    )
+    def test_uncoded_gaussian_outside_normal_range_rejected(self, flags, message, capsys):
+        argv = ["mc", "uncoded-gaussian", *flags, "--trials", "3", "--blocklength", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message} is not a positive normal float\n"
+
     @pytest.mark.parametrize("command", ["bss-region", "bss-frontier", "bss-interface"])
     def test_analytic_sweep_budget(self, command, capsys):
         # refused before any mesh array exists: the whole call stays under 1 MiB
@@ -387,6 +401,10 @@ _MENDED_INPUTS = [
     ["bss-region", "--grid=3", "--b=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
     ["bss-region", "--grid=3", "--alpha1=1e-10", "--alpha2=1e-09", "--p-grid=0.5,1.0"],
     ["gaussian-compare", "--grid=2", "--sigma2=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
+    ["gaussian-compare", "--grid=2", "--p-grid=1e-17,1.0"],
+    ["gaussian-compare", "--grid=2", "--p-grid=3e-19,1.0"],
+    ["gaussian-compare", "--grid=2", "--p-grid=1e-16,2e-16,3e-16,1.0"],
+    ["gaussian-compare", "--grid=2", "--p-grid=1e-300,1.0"],
 ]
 
 
@@ -394,10 +412,16 @@ class TestConfigSpace:
     @given(_cli_argv())
     @settings(max_examples=300, deadline=None)
     # inputs that once failed, run every time: a huge b gave a NaN rate, tiny
-    # alphas a turning-point bracket without the root, a huge sigma2 an inf cell
+    # alphas a turning-point bracket without the root, a huge sigma2 an inf
+    # cell, P*gamma_bar below about 4e-16 a broadcast distortion rejected at
+    # sigma2, and P*gamma_bar = 1e-300 an E1 continued fraction that stalls
     @example(_MENDED_INPUTS[0])
     @example(_MENDED_INPUTS[1])
     @example(_MENDED_INPUTS[2])
+    @example(_MENDED_INPUTS[3])
+    @example(_MENDED_INPUTS[4])
+    @example(_MENDED_INPUTS[5])
+    @example(_MENDED_INPUTS[6])
     def test_every_config_exits_cleanly(self, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -620,6 +644,20 @@ _PINNED_GAUSSIAN_SHA256 = {
 }
 
 
+# sha256 of stdout of gaussian-compare on a 0.1-decade grid of P*gamma_bar
+# from 1e-15 to 1e7, recorded before the warm-started power threshold and
+# the leaner E1 series; keyed by (gamma_bar, sigma2)
+_PINNED_LOG_GRID_SHA256 = {
+    (0.25, "1"): "1e618f26ad892bae9d1ab5e4922f6bb61011e83d86ff5f7a297aa12648fb68b9",
+    (1.0, "0.3"): "10abd4c0d08e01cd9dfddc8761e69faf38d78d70bb345570871f54c884e0c369",
+    (3.0, "1"): "7b1f0523ef50dfb5ff552592f1b98d49f2357d34cd4e7e5b3506431bc659dd41",
+}
+
+
+def _log_p_grid(gamma_bar):
+    return ",".join(repr(10.0 ** (k / 10) / gamma_bar) for k in range(-150, 71))
+
+
 # sha256 of stdout of every mc experiment, recorded before the chunked kernels;
 # trial counts straddle the trial chunks and uncoded-bsc covers n mod 4 = 0..3
 _PINNED_MC_SHA256 = {
@@ -668,6 +706,15 @@ class TestPinnedBytes:
         code, out, _ = run_cli(argv.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_GAUSSIAN_SHA256[argv]
+
+    @pytest.mark.parametrize("gamma_bar, sigma2", sorted(_PINNED_LOG_GRID_SHA256))
+    def test_gaussian_log_grid_bytes(self, gamma_bar, sigma2, capsys):
+        argv = ["gaussian-compare", "--gamma-bar", repr(gamma_bar), "--sigma2", sigma2,
+                "--p-grid", _log_p_grid(gamma_bar)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == _PINNED_LOG_GRID_SHA256[(gamma_bar, sigma2)]
 
     @pytest.mark.parametrize("point, table", sorted(_PINNED_SHA256))
     def test_bss_table_bytes(self, point, table, capsys):

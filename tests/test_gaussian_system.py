@@ -1,6 +1,8 @@
 """Tests for the Gaussian-over-slow-fading distortion analysis."""
 
 import math
+import random
+import sys
 
 import pytest
 
@@ -305,6 +307,109 @@ class TestHighPrecisionOracle:
         distortion = gs.bc_expected_distortion(sys)
         assert abs(threshold / (float(x) * gbar) - 1.0) <= 1e-13
         assert abs(distortion / float(de) - 1.0) <= 1e-13
+
+
+def _halving_ratio(a):
+    """The threshold ratio as found before the warm start: bisection from depth 0."""
+    lo, hi = 0.5, 1.0
+    while (level := gs._scaled_interference(lo)) < a:
+        hi, lo = lo, 0.5 * lo
+    if math.isinf(level):
+        raise gs.NoSolutionError(f"power*gamma_bar {a} exceeds the representable range")
+    while hi - lo > 4.5e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if gs._scaled_interference(mid) < a:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(ratio, a):
+    try:
+        return ratio(a)
+    except gs.NoSolutionError:
+        return "no solution"
+
+
+class TestWarmStartedThreshold:
+    def test_same_bits_as_halving_loop(self):
+        # a 0.2-decade grid over the positive normal floats and up to +inf,
+        # 0.02-decade where gaussian-compare is used, and random points
+        rng = random.Random(14)
+        grid = [10.0 ** (k / 5) for k in range(-1538, 1542)]
+        grid += [10.0 ** (k / 50) for k in range(-800, 801)]
+        grid += [10.0 ** rng.uniform(-16.0, 15.0) for _ in range(3000)]
+        grid += [sys.float_info.min, gs._WARM_MIN, gs._WARM_MAX, sys.float_info.max, math.inf]
+        outcomes = [(a, _outcome(gs._threshold_ratio, a)) for a in grid]
+        assert outcomes == [(a, _outcome(_halving_ratio, a)) for a in grid]
+        assert sum(o == "no solution" for _, o in outcomes) >= 3
+
+    def test_same_bits_with_the_root_at_a_node_end(self):
+        # a within a few ulps of the interference at an end of a depth-30 or
+        # depth-40 node: where the certificate's guard decides
+        rng = random.Random(15)
+        grid = []
+        for _ in range(300):
+            lo0 = 2.0 ** -rng.randrange(1, 60)
+            depth = rng.choice(gs._WARM_DEPTHS)
+            end = lo0 + rng.randrange(2**depth) * math.ldexp(lo0, -depth)
+            level = gs._scaled_interference(end)
+            for k in range(-4, 5):
+                grid.append(level + k * math.ulp(level))
+        outcomes = [_outcome(gs._threshold_ratio, a) for a in grid]
+        assert outcomes == [_outcome(_halving_ratio, a) for a in grid]
+
+    def test_warm_start_engages(self):
+        grid = [10.0 ** (k / 50) for k in range(-700, 15000)]
+        started = sum(gs._certified_node(a) is not None for a in grid)
+        assert started >= 0.97 * len(grid)
+
+    def test_evaluations_per_threshold(self, monkeypatch):
+        calls = []
+        interference = gs._scaled_interference
+        monkeypatch.setattr(gs, "_scaled_interference", lambda x: calls.append(x) or interference(x))
+        grid = [10.0 ** (k / 100) for k in range(-200, 501)]
+        for a in grid:
+            gs._threshold_ratio(a)
+        assert len(calls) <= 20 * len(grid)
+
+    def test_guard_bounds_the_rounding_error(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(7)
+        xs = [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(150)]
+        xs += [rng.uniform(0.5, 1.0) for _ in range(150)] + [0.8863029761221]
+        with mp.workdps(40):
+            half = mp.mpf(1) / 2
+            for x in xs:
+                t = mp.mpf(x)
+                num = (mp.exp(-half) - mp.exp(-t / 2)) - (mp.e1(half) - mp.e1(t / 2))
+                err = abs(mp.mpf(gs._scaled_interference(x)) - num / (t * mp.exp(-t / 2)))
+                # the guard keeps a factor 4 over the worst error seen (1.9 eps)
+                assert err <= 0.5 * gs._GUARD * (1.0 - mp.log(t)) / t, x
+
+
+class TestTinySnr:
+    @pytest.mark.parametrize("a", [3e-19, 1e-17, 5e-17, 1e-16, 2e-16, 3e-16, 5e-16, 1e-300])
+    @pytest.mark.parametrize("sigma2", [1.0, 3.0, 0.3])
+    def test_within_an_ulp_of_the_oracle(self, a, sigma2):
+        sys_ = RayleighSystem(sigma2=sigma2, power=a, gamma_bar=1.0)
+        value = gs.bc_expected_distortion(sys_)
+        exact = sigma2 * _mp_oracle(a)[1]
+        assert value <= sigma2
+        assert abs(value - float(exact)) <= math.ulp(sigma2)
+
+    def test_gap_stays_below_a_over_e(self):
+        mp = pytest.importorskip("mpmath")
+        # a >= 1e-12, so that the a^2/e term stays above the 40-digit noise
+        for k in range(-24, 21):
+            a = 10.0 ** (k / 2)
+            gap = 1 - _mp_oracle(a)[1]
+            assert 0 < gap < a / mp.e
+            if a < 1e-6:
+                assert gap == pytest.approx((a - a * a) / mp.e, rel=1e-10)
 
 
 class TestRange:

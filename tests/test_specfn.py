@@ -1,6 +1,8 @@
 """Unit and property tests for the scalar numerics."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,29 @@ class TestExpIntegral:
             specfn.exp_integral(math.nan)
 
 
+def _series_e1_reference(x):
+    """The E1 series loop as it was before its sign and stop test were simplified."""
+    total = 0.0
+    term = 1.0
+    for k in range(1, 80):
+        term *= x / k
+        contrib = term / k
+        total += contrib if k % 2 == 1 else -contrib
+        if contrib < 1e-18 * max(1.0, abs(total)):
+            break
+    return -specfn.EULER_GAMMA - math.log(x) + total
+
+
+class TestExpIntegralSeries:
+    def test_same_bits_as_reference_loop(self):
+        rng = random.Random(14)
+        xs = [k / 4096 for k in range(1, 4097)]
+        xs += [10.0 ** (-k / 16) for k in range(0, 16 * 308)]
+        xs += [rng.random() or 1.0 for _ in range(20000)]
+        xs += [5e-324, sys.float_info.min, math.nextafter(1.0, 0.0), 1.0]
+        assert [specfn.exp_integral(x) for x in xs] == [_series_e1_reference(x) for x in xs]
+
+
 class TestScaledExpIntegral:
     @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 1.5, 4.0, 12.0, 30.0])
     def test_matches_exp_integral(self, x):
@@ -151,6 +176,16 @@ class TestScaledExpIntegral:
         assert specfn.scaled_exp_integral(x) == pytest.approx(
             1.0 / x - 1.0 / x**2 + 2.0 / x**3, rel=1e-15
         )
+
+    def test_asymptotic_series_where_the_fraction_stalls(self):
+        # the Lentz loop never settles at these arguments; A&S 5.1.51 takes over
+        xs = [108997874454.53777, 1.905460717963252e16, 8.317637711027014e299]
+        xs += [10.0 ** (k / 10) for k in range(110, 3081)]
+        for x in xs:
+            assert specfn.scaled_exp_integral(x) == pytest.approx(
+                (1.0 - (1.0 - 2.0 / x) / x) / x, rel=1e-15
+            )
+        assert specfn.scaled_exp_integral(sys.float_info.max) == 1.0 / sys.float_info.max
 
     def test_finite_where_exp_integral_underflows(self):
         assert specfn.exp_integral(1e3) == 0.0
