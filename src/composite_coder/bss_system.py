@@ -26,7 +26,9 @@ its scalar evaluator; ``sweep_families`` sweeps several, residue splitting
 first.  Each table then has one code path: a region is
 ``sweep_family(...).hull()``, the best scheme per bad-state probability is
 ``expected_distortion_frontier`` and the interface-complexity tradeoff is
-``interface_staircases`` of each sweep's (kt, kr, expected) columns.
+``interface_staircases`` of each sweep's (kt, kr, expected) arrays, taken
+with numpy: the points sorted by (k, expected), the running minimum of
+expected, and the last point of each run of equal k.
 
 The two layered families are swept as arrays: ``sweep_layered`` evaluates a
 whole (beta, rho) mesh with numpy (imported on first use, so importing this
@@ -190,7 +192,9 @@ def wyner_ziv_turning_point(alpha: float) -> float:
     def tangent_gap(d: float) -> float:
         return _g(d, alpha) + _g_prime(d, alpha) * (alpha - d)
 
-    lo, hi, tol = 1e-9, alpha - 1e-9, 1e-12
+    # the stop is relative to dc (about alpha^2/e) below alpha of about 0.0316
+    # and far above the float spacing there, so the bisection always ends
+    lo, hi, tol = 1e-9, alpha - 1e-9, min(1e-12, alpha * alpha * 1e-9)
     if not (lo < hi and tangent_gap(lo) <= 0.0):
         # dc is about alpha^2/e, below 1e-9 for alpha under about 5.2e-5: a
         # bracket and a tolerance relative to alpha^2.  The tangent gap holds
@@ -330,18 +334,19 @@ class LayeredSweep:
     kr: np.ndarray
     names: tuple[str, ...]
 
-    def param_columns(self) -> tuple[list[float | None], list[float | None]]:
-        """beta and rho per point as table cells, None where they are not params.
+    def param_blocks(self) -> list[tuple[int, object, object]]:
+        """beta and rho as table entries, in runs of consecutive points: (count, beta, rho).
 
-        A (beta, rho) mesh's cells share one float object per grid value, as
-        the scalar sweeps' parameter dicts did, instead of one per point.
+        An entry is an array of the run's values, or one value that every point
+        of the run has: None where the coordinate is not a param.  A (beta, rho)
+        mesh is one run per beta, and every run shares one array of the rho
+        grid, so a table formats each grid value once.
         """
         if "rho" not in self.names:
-            none = [None] * self.beta.size
-            return (self.beta.tolist() if "beta" in self.names else none), none
+            return [(self.beta.size, self.beta if "beta" in self.names else None, None)]
         grid = math.isqrt(self.beta.size)
-        betas, rhos = self.beta[::grid].tolist(), self.rho[:grid].tolist()
-        return [beta for beta in betas for _ in rhos], rhos * grid
+        rho = self.rho[:grid]
+        return [(grid, beta, rho) for beta in self.beta[::grid].tolist()]
 
     def hull(self) -> list[tuple[float, float]]:
         """The lower convex hull of the (d1, d2) points, sorted by d1.
@@ -730,24 +735,23 @@ def expected_distortion_frontier(
     return FrontierResult(points=points, crossovers=crossovers)
 
 
-def _staircase(series: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Lower staircase: minimum De at or below each swept complexity."""
-    out: list[tuple[float, float]] = []
-    running = math.inf
-    for k, de in sorted(series):
-        running = min(running, de)
-        if out and out[-1][0] == k:
-            out[-1] = (k, running)
-        else:
-            out.append((k, running))
-    return out
-
-
 def interface_staircases(
-    kt: Sequence[float], kr: Sequence[float], expected: Sequence[float]
-) -> dict[str, list[tuple[float, float]]]:
-    """Lower (kt, expected) and (kr, expected) staircases of one family's points."""
-    return {
-        "kt": _staircase(list(zip(kt, expected))),
-        "kr": _staircase(list(zip(kr, expected))),
-    }
+    kt: np.ndarray, kr: np.ndarray, expected: np.ndarray
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Lower (kt, expected) and (kr, expected) staircases of one family's points.
+
+    Each is a pair of arrays: the distinct complexities k in increasing order
+    and the minimum expected distortion over the points at or below each.
+    The points are sorted by (k, expected), the running minimum of expected
+    is taken, and the last point of each run of equal k is kept.
+    """
+    import numpy as np
+
+    def staircase(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = np.lexsort((expected, k))
+        k = k[order]
+        last = np.ones(k.size, dtype=bool)
+        last[:-1] = k[1:] != k[:-1]
+        return k[last], np.minimum.accumulate(expected[order])[last]
+
+    return {"kt": staircase(kt), "kr": staircase(kr)}

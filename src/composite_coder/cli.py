@@ -21,9 +21,12 @@ timestamp.
 
 Output cells: in CSV a float is its ``.12g`` string and None an empty cell;
 in JSON (indent 1) a float is its ``.12g``-rounded value in shortest
-round-trip form, and NaN and None are ``null``.  The renderers format one
-column of a bounded chunk of rows at a time, so rendering holds at most
-about 3x the output size in memory.
+round-trip form, and NaN and None are ``null``.  A table is a list of
+blocks of rows (``Block``) whose column entries are lists, float64 arrays
+or one cell repeated down the block, as the commands have them; no command
+builds a list per row.  The renderers walk the blocks in chunks of at most
+_CHUNK_ROWS rows and format each entry of a chunk in one pass (a repeated
+cell once), so rendering holds at most about 3x the output size in memory.
 
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
 3 numeric error, 4 work budget error (Monte Carlo, analytic sweep or
@@ -42,7 +45,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, bss_system, channels, gaussian_system, specfn
 from .bss_system import Scheme
@@ -100,15 +104,34 @@ class RunConfig:
         return ";".join(parts)
 
 
+@dataclass(frozen=True)
+class Block:
+    """``rows`` consecutive rows of a table, one entry per column.
+
+    An entry is a list of the block's cells, a float64 array of them (any
+    object with ``.tolist``), or else one cell that every row of the block has.
+    """
+
+    rows: int
+    entries: tuple[object, ...]
+
+
+def _is_sequence(entry: object) -> bool:
+    return isinstance(entry, list) or hasattr(entry, "tolist")
+
+
 @dataclass
 class FigureTable:
     columns: list[str]
-    rows: list[list[object]]
+    blocks: list[Block]
     metadata: dict[str, str]
 
     def __post_init__(self) -> None:
-        if set(map(len, self.rows)) - {len(self.columns)}:
-            raise AssertionError("row arity does not match column names")
+        for block in self.blocks:
+            if len(block.entries) != len(self.columns) or any(
+                len(entry) != block.rows for entry in block.entries if _is_sequence(entry)
+            ):
+                raise AssertionError("block shape does not match the columns and its row count")
 
 
 _CHUNK_ROWS = 2048  # rows rendered at a time, which bounds the token working set
@@ -146,24 +169,52 @@ def _cell_token(value: object, as_json: bool) -> str:
     return text
 
 
-def _column_tokens(column: tuple, as_json: bool) -> list[str]:
-    """Tokens of one column chunk; each distinct cell object is formatted once."""
-    cells = dict(zip(map(id, column), column))
-    if len(cells) == len(column) and set(map(type, column)) == {float}:
-        return _float_tokens(column, as_json)
-    floats = [v for v in cells.values() if isinstance(v, float)]
-    others = [v for v in cells.values() if not isinstance(v, float)]
+def _mixed_tokens(cells: list[object], as_json: bool) -> list[str]:
+    """Tokens of a list of cells of several types; each distinct cell object is formatted once."""
+    distinct = dict(zip(map(id, cells), cells))
+    floats = [v for v in distinct.values() if isinstance(v, float)]
+    others = [v for v in distinct.values() if not isinstance(v, float)]
     tokens = dict(zip(map(id, floats), _float_tokens(floats, as_json)))
     tokens.update((id(v), _cell_token(v, as_json)) for v in others)
-    return list(map(tokens.__getitem__, map(id, column)))
+    return list(map(tokens.__getitem__, map(id, cells)))
 
 
-def _row_chunks(table: FigureTable, as_json: bool, sep: str) -> Iterator[Iterator[str]]:
-    """Each chunk of rows as text: the row tokens joined by ``sep``, rows by newlines."""
-    rows = table.rows
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        columns = [_column_tokens(c, as_json) for c in zip(*rows[start:start + _CHUNK_ROWS])]
-        yield map(sep.join, zip(*columns))
+def _entry_tokens(entry: object, start: int, stop: int, as_json: bool) -> list[str] | str:
+    """Tokens of rows [start, stop) of a block entry, or the one token of a repeated cell."""
+    if isinstance(entry, list):
+        cells = entry[start:stop]
+        kinds = set(map(type, cells))
+        if kinds == {float}:
+            return _float_tokens(cells, as_json)
+        if kinds == {int}:
+            return list(map(str, cells))  # str and json.dumps spell an int alike
+        return _mixed_tokens(cells, as_json)
+    if hasattr(entry, "tolist"):
+        return _float_tokens(entry[start:stop].tolist(), as_json)
+    if isinstance(entry, float):
+        return _float_tokens([entry], as_json)[0]
+    return _cell_token(entry, as_json)
+
+
+def _chunks(table: FigureTable, as_json: bool, sep: str) -> Iterator[Iterator[str]]:
+    """Up to _CHUNK_ROWS rows of one block at a time, each row its tokens joined by ``sep``.
+
+    A column whose entry is the same object over the same rows as in the
+    previous chunk reuses that chunk's tokens.
+    """
+    # per column: the entry, rows and tokens of the last chunk
+    last: list[tuple[object, object, list[str] | str]] = [(None, None, "")] * len(table.columns)
+    for block in table.blocks:
+        for start in range(0, block.rows, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, block.rows)
+            columns: list[Iterable[str]] = []
+            for i, entry in enumerate(block.entries):
+                seen, span, tokens = last[i]
+                if seen is not entry or span != (start, stop):
+                    tokens = _entry_tokens(entry, start, stop, as_json)
+                    last[i] = (entry, (start, stop), tokens)
+                columns.append(repeat(tokens, stop - start) if isinstance(tokens, str) else tokens)
+            yield map(sep.join, zip(*columns))
 
 
 def render_csv(table: FigureTable) -> str:
@@ -176,7 +227,7 @@ def render_csv(table: FigureTable) -> str:
     """
     parts = [f"# {key}={table.metadata[key]}\r\n" for key in sorted(table.metadata)]
     parts.append(",".join(_cell_token(c, False) for c in table.columns) + "\r\n")
-    for lines in _row_chunks(table, False, ","):
+    for lines in _chunks(table, False, ","):
         parts.append("\r\n".join(lines))
         parts.append("\r\n")
     return "".join(parts)
@@ -191,10 +242,10 @@ def render_json(table: FigureTable) -> str:
     """
     columns = ",\n  ".join(map(json.dumps, table.columns))
     parts = ['{\n "columns": ' + (f"[\n  {columns}\n ]" if columns else "[]") + ",\n"]
-    if table.rows:
+    if any(block.rows for block in table.blocks):
         parts.append(' "rows": [\n  [\n   ')
         row_sep = "\n  ],\n  [\n   "
-        for i, lines in enumerate(_row_chunks(table, True, ",\n   ")):
+        for i, lines in enumerate(_chunks(table, True, ",\n   ")):
             if i:
                 parts.append(row_sep)
             parts.append(row_sep.join(lines))
@@ -260,21 +311,18 @@ def _parse_grid_spec(text: str) -> list[float]:
 
 
 def cmd_gaussian_compare(cfg: RunConfig) -> FigureTable:
-    rows: list[list[object]] = []
+    uncoded: list[object] = []
+    outage: list[object] = []
+    broadcast: list[object] = []
     for power in cfg.p_grid:
         sys_ = channels.RayleighSystem(sigma2=cfg.sigma2, power=power, gamma_bar=cfg.gamma_bar)
         _, de_outage = gaussian_system.optimal_outage_for_distortion(sys_)
-        rows.append(
-            [
-                power,
-                gaussian_system.uncoded_expected_distortion(sys_),
-                de_outage,
-                gaussian_system.bc_expected_distortion(sys_),
-            ]
-        )
+        uncoded.append(gaussian_system.uncoded_expected_distortion(sys_))
+        outage.append(de_outage)
+        broadcast.append(gaussian_system.bc_expected_distortion(sys_))
     return FigureTable(
         columns=["P", "De_uncoded", "De_outage_sep", "De_broadcast"],
-        rows=rows,
+        blocks=[Block(len(cfg.p_grid), (cfg.p_grid, uncoded, outage, broadcast))],
         metadata=_metadata(cfg),
     )
 
@@ -283,68 +331,65 @@ def _bsc(cfg: RunConfig) -> channels.CompositeBsc:
     return channels.CompositeBsc(alpha1=cfg.alpha1, alpha2=cfg.alpha2, p=cfg.p, b=cfg.b)
 
 
+def _sweep_blocks(sweep: bss_system.LayeredSweep, *cells: Sequence[object]) -> list[Block]:
+    """A sweep's rows: its scheme, its beta and rho entries, then ``cells`` of its points."""
+    blocks: list[Block] = []
+    start = 0
+    for n, beta, rho in sweep.param_blocks():
+        stop = start + n
+        blocks.append(Block(n, (sweep.scheme.value, beta, rho, *(c[start:stop] for c in cells))))
+        start = stop
+    return blocks
+
+
 def cmd_bss_region(cfg: RunConfig) -> FigureTable:
     families = (Scheme.SHANNON, Scheme.OUTAGE, *bss_system.COMPARED_FAMILIES)
     sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, families)
-    # the last cell, on_hull, is filled in below
-    rows: list[list[object]] = []
-    for sweep in sweeps.values():
-        beta, rho = sweep.param_columns()
-        scheme = sweep.scheme.value
-        rows.extend(
-            [scheme, be, ro, d1, d2, 0]
-            for be, ro, d1, d2 in zip(beta, rho, sweep.d1.tolist(), sweep.d2.tolist())
-        )
-    # a row is on the hull when the hull dominates it within 1e-9 but not by 1e-9
     hull = sweeps[Scheme.RESIDUE_SPLITTING].hull()
-    d1s, d2s = [row[3] for row in rows], [row[4] for row in rows]
-    near = bss_system.hull_dominates_array(hull, d1s, d2s, slack=1e-9)
-    strictly = bss_system.hull_dominates_array(hull, d1s, d2s, slack=-1e-9)
-    for row, on in zip(rows, (near & ~strictly).tolist()):
-        if on:
-            row[5] = 1
+    blocks: list[Block] = []
+    for sweep in sweeps.values():
+        # a point is on the hull when the hull dominates it within 1e-9 but not by 1e-9
+        near = bss_system.hull_dominates_array(hull, sweep.d1, sweep.d2, slack=1e-9)
+        strictly = bss_system.hull_dominates_array(hull, sweep.d1, sweep.d2, slack=-1e-9)
+        on_hull = (near & ~strictly).astype(int).tolist()
+        blocks += _sweep_blocks(sweep, sweep.d1, sweep.d2, on_hull)
     return FigureTable(
         columns=["scheme", "param1", "param2", "D1", "D2", "on_hull"],
-        rows=rows,
+        blocks=blocks,
         metadata=_metadata(cfg),
     )
 
 
 def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
-    ch = _bsc(cfg)
-    frontier = bss_system.expected_distortion_frontier(ch, cfg.p_grid, grid=cfg.grid)
-    rows: list[list[object]] = [
-        [pt.p, *(pt.family_expected[f] for f in bss_system.COMPARED_FAMILIES), pt.scheme.value]
-        for pt in frontier.points
-    ]
+    frontier = bss_system.expected_distortion_frontier(_bsc(cfg), cfg.p_grid, grid=cfg.grid)
+    points = frontier.points
+    columns = (
+        [pt.p for pt in points],
+        *([pt.family_expected[f] for pt in points] for f in bss_system.COMPARED_FAMILIES),
+        [pt.scheme.value for pt in points],
+    )
     extra = {
         f"crossover.{i + 1}": f"{c.scheme_low.value}->{c.scheme_high.value}@{c.p:.6g}"
         for i, c in enumerate(frontier.crossovers)
     }
     return FigureTable(
         columns=["p", "De_broadcast", "De_residue", "De_sys_good", "De_sys_bad", "best_scheme"],
-        rows=rows,
+        blocks=[Block(len(points), columns)],
         metadata=_metadata(cfg, extra),
     )
 
 
 def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
     sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, bss_system.COMPARED_FAMILIES)
-    rows: list[list[object]] = []
-    stairs: dict[Scheme, dict[str, list[tuple[float, float]]]] = {}
-    for sweep in sweeps.values():
-        beta, rho = sweep.param_columns()
-        kt, kr, de = sweep.kt.tolist(), sweep.kr.tolist(), sweep.expected.tolist()
-        scheme = sweep.scheme.value
-        rows.extend([scheme, *cells] for cells in zip(beta, rho, kt, kr, de))
-        stairs[sweep.scheme] = bss_system.interface_staircases(kt, kr, de)
-    for family, sides in stairs.items():
-        kt_label, kr_label = f"{family.value}:stair-kt", f"{family.value}:stair-kr"
-        rows.extend([kt_label, None, None, k, None, de] for k, de in sides["kt"])
-        rows.extend([kr_label, None, None, None, k, de] for k, de in sides["kr"])
+    blocks = [b for s in sweeps.values() for b in _sweep_blocks(s, s.kt, s.kr, s.expected)]
+    for family, sweep in sweeps.items():
+        stairs = bss_system.interface_staircases(sweep.kt, sweep.kr, sweep.expected)
+        (kt, kt_de), (kr, kr_de) = stairs["kt"], stairs["kr"]
+        blocks.append(Block(kt.size, (f"{family.value}:stair-kt", None, None, kt, None, kt_de)))
+        blocks.append(Block(kr.size, (f"{family.value}:stair-kr", None, None, None, kr, kr_de)))
     return FigureTable(
         columns=["scheme", "param1", "param2", "Kt", "Kr", "De"],
-        rows=rows,
+        blocks=blocks,
         metadata=_metadata(cfg),
     )
 
@@ -354,10 +399,11 @@ def _uncoded_gains(gamma_bar: float) -> tuple[float, float, float]:
     return 0.5 * gamma_bar, gamma_bar, 2.0 * gamma_bar
 
 
-def _mc_rows(cfg: RunConfig) -> list[list[object]]:
+def _mc_columns(cfg: RunConfig) -> list[list[object]]:
+    """The mc table's columns after the experiment name, one cell per report."""
     from . import montecarlo
 
-    rows: list[list[object]] = []
+    columns: list[list[object]] = [[] for _ in range(7)]
 
     def row(param: str, n: int, report: montecarlo.TrialReport, target: Optional[float],
             one_sided: bool = False) -> None:
@@ -367,9 +413,9 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
             ok = 1 if report.mean >= target - 3.0 * report.half_width_95 else 0
         else:
             ok = 1 if abs(report.mean - target) <= 3.0 * report.half_width_95 else 0
-        rows.append(
-            [cfg.experiment, param, n, report.trials, report.mean, report.half_width_95, target, ok]
-        )
+        cells = (param, n, report.trials, report.mean, report.half_width_95, target, ok)
+        for column, cell in zip(columns, cells):
+            column.append(cell)
 
     if cfg.experiment == "uncoded-bsc":
         n = cfg.blocklength or 1000
@@ -415,16 +461,17 @@ def _mc_rows(cfg: RunConfig) -> list[list[object]]:
             )
             row("state=1", m, err1, None)
             row("state=2", m, err2, None)
-    return rows
+    return columns
 
 
 def cmd_mc(cfg: RunConfig) -> FigureTable:
+    columns = _mc_columns(cfg)
     return FigureTable(
         columns=[
             "experiment", "param", "blocklength", "trials",
             "mean", "half_width", "target", "pass_3sigma",
         ],
-        rows=_mc_rows(cfg),
+        blocks=[Block(len(columns[0]), (cfg.experiment, *columns))],
         metadata=_metadata(cfg),
     )
 

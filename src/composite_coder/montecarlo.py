@@ -197,11 +197,16 @@ def _fair_words(streams: Callable[[int], np.random.Generator], chunk: range,
 
 
 def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
-    mean = float(values.mean())
-    if len(values) > 1:
-        half = 1.96 * float(values.std(ddof=1)) / math.sqrt(len(values))
-    else:
-        half = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        mean = float(values.mean())
+        if len(values) > 1:
+            half = 1.96 * float(values.std(ddof=1)) / math.sqrt(len(values))
+        else:
+            half = 0.0
+    if not (math.isfinite(mean) and math.isfinite(half)):
+        raise ArithmeticError(
+            f"trial statistics leave the float range: mean {mean}, half-width {half}"
+        )
     return TrialReport(mean=mean, half_width_95=half, trials=cfg.trials, seed=cfg.seed)
 
 
@@ -263,9 +268,11 @@ def simulate_uncoded_gaussian(
             rng.standard_normal(out=v_row)
             rng.standard_normal(out=z_row)
         v *= math.sqrt(sys.sigma2)
-        for row, (amplitude, mmse_gain) in zip(values, gains):
-            y = amplitude * v + z
-            row[chunk.start:chunk.stop] = np.mean((v - mmse_gain * y) ** 2, axis=1)
+        # a squared error past the float range is refused by _report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, (amplitude, mmse_gain) in zip(values, gains):
+                y = amplitude * v + z
+                row[chunk.start:chunk.stop] = np.mean((v - mmse_gain * y) ** 2, axis=1)
     return [_report(row, cfg) for row in values]
 
 

@@ -356,16 +356,59 @@ class TestFrontier:
         assert pt.scheme == Scheme.RESIDUE_SPLITTING
 
 
+def _staircase_loop(series):
+    """The staircase as a loop over sorted (k, expected) pairs: the oracle of the numpy one."""
+    out = []
+    running = math.inf
+    for k, de in sorted(series):
+        running = min(running, de)
+        if out and out[-1][0] == k:
+            out[-1] = (k, running)
+        else:
+            out.append((k, running))
+    return out
+
+
+def _assert_staircases_equal_the_loop(kt, kr, expected):
+    stairs = bss.interface_staircases(kt, kr, expected)
+    for side, k in (("kt", kt), ("kr", kr)):
+        got_k, got_de = stairs[side]
+        want = _staircase_loop(list(zip(k.tolist(), expected.tolist())))
+        assert list(zip(got_k.tolist(), got_de.tolist())) == want
+
+
+# the three operating points of the pinned CLI tables: (alpha1, alpha2, b, p)
+_PINNED_POINTS = [(0.25, 0.45, 2.0, 0.5), (0.2, 0.35, 1.8, 0.3), (0.05, 0.3, 2.2, 0.8)]
+
+
 class TestInterfaceTradeoff:
     def test_staircases_nonincreasing(self):
         ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.7, b=2.0)
         for sweep in bss.sweep_families(ch, 33, bss.COMPARED_FAMILIES).values():
-            columns = (sweep.kt.tolist(), sweep.kr.tolist(), sweep.expected.tolist())
-            for series in bss.interface_staircases(*columns).values():
-                ks = [k for k, _ in series]
-                des = [de for _, de in series]
-                assert ks == sorted(ks)
-                assert all(a >= b - 1e-15 for a, b in zip(des, des[1:]))
+            for ks, des in bss.interface_staircases(sweep.kt, sweep.kr, sweep.expected).values():
+                assert ks.tolist() == sorted(ks.tolist())
+                assert all(a >= b - 1e-15 for a, b in zip(des.tolist(), des.tolist()[1:]))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_staircases_equal_the_loop_with_ties(self, data):
+        np = pytest.importorskip("numpy")
+        # values from a small pool, so that equal k and equal expected both occur
+        pool = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6))
+        n = data.draw(st.integers(0, 40))
+        column = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        kt, kr, expected = (np.array(data.draw(column), dtype=float) for _ in range(3))
+        _assert_staircases_equal_the_loop(kt, kr, expected)
+
+    @pytest.mark.parametrize("point", _PINNED_POINTS)
+    def test_staircases_equal_the_loop_for_every_family(self, point):
+        alpha1, alpha2, b, p = point
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the lossless point warns
+            ch = CompositeBsc(alpha1=alpha1, alpha2=alpha2, p=p, b=b)
+            sweeps = bss.sweep_families(ch, 33, bss.COMPARED_FAMILIES)
+        for sweep in sweeps.values():
+            _assert_staircases_equal_the_loop(sweep.kt, sweep.kr, sweep.expected)
 
     def test_systematic_good_extremes_at_p07(self):
         ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.7, b=2.0)
@@ -437,20 +480,24 @@ class TestArrayCore:
         point = bss.residue_splitting_scheme(CH, 0.125, 0.5 * bss.RHO_MAX)
         columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
         assert tuple(c[7].item() for c in columns) == _fields(point)
-        assert bss.sweep_layered(CH, Scheme.BROADCAST, 3).param_columns() == (
-            [0.0, 0.25, 0.5], [None, None, None],
-        )
+        ((n, beta, rho),) = bss.sweep_layered(CH, Scheme.BROADCAST, 3).param_blocks()
+        assert (n, beta.tolist(), rho) == (3, [0.0, 0.25, 0.5], None)
 
     @pytest.mark.parametrize("family", list(Scheme))
-    def test_param_columns_match_params(self, family):
+    def test_param_blocks_match_params(self, family):
         sweep = bss.sweep_family(CH, family, 7)
         params = [
             _scalar_evaluation(CH, family, beta, rho).params
             for beta, rho in zip(sweep.beta.tolist(), sweep.rho.tolist())
         ]
-        beta, rho = sweep.param_columns()
-        assert beta == [e.get("beta") for e in params]
-        assert rho == [e.get("rho") for e in params]
+        assert _param_columns(sweep) == (
+            [e.get("beta") for e in params], [e.get("rho") for e in params],
+        )
+
+    def test_mesh_param_blocks_share_one_rho_array(self):
+        blocks = bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5).param_blocks()
+        assert [(n, beta) for n, beta, _ in blocks] == [(5, 0.125 * i) for i in range(5)]
+        assert all(rho is blocks[0][2] for _, _, rho in blocks)
 
     def test_scalar_inverse_halves_the_same_number_of_times(self, monkeypatch):
         calls = []
@@ -539,6 +586,15 @@ _POINT_EVALUATORS = {
 }
 
 
+def _param_columns(sweep):
+    """beta and rho per point as table cells, expanded from the sweep's param blocks."""
+    columns = ([], [])
+    for n, *entries in sweep.param_blocks():
+        for column, entry in zip(columns, entries):
+            column.extend(entry.tolist() if hasattr(entry, "tolist") else [entry] * n)
+    return columns
+
+
 def _scalar_evaluation(ch, family, beta, rho):
     """The scalar evaluator of ``family`` at the sweep point (beta, rho)."""
     if family == Scheme.BROADCAST:
@@ -558,7 +614,7 @@ class TestRegistry:
             columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
             assert sweep.scheme == family
             assert tuple(c.tolist() for c in columns) == tuple([v] for v in _fields(e))
-            assert sweep.param_columns() == ([e.params.get("beta")], [None])
+            assert _param_columns(sweep) == ([e.params.get("beta")], [None])
 
     @pytest.mark.parametrize("family", list(Scheme))
     def test_region_and_best_accept_every_family(self, family):
@@ -728,10 +784,20 @@ class TestRangeEdges:
             assert abs(dc - exact) <= 1e-4 * exact
 
     def test_turning_point_keeps_the_fixed_bracket_where_it_holds_the_root(self):
-        for alpha in (6e-5, 1e-4, 0.01, 0.25, 0.45):
+        # the stop is 1e-12 from alpha of about 0.0316 up, alpha^2 * 1e-9 below
+        for alpha in (6e-5, 1e-4, 0.01, 0.0317, 0.25, 0.45):
+            tol = 1e-12 if alpha >= 0.0317 else alpha * alpha * 1e-9
             gap = lambda d: bss._g(d, alpha) + bss._g_prime(d, alpha) * (alpha - d)
-            want = specfn.find_root(gap, 1e-9, alpha - 1e-9, tol=1e-12)
+            want = specfn.find_root(gap, 1e-9, alpha - 1e-9, tol=tol)
             assert bss.wyner_ziv_turning_point(alpha) == want
+
+    def test_curve_identity_holds_across_the_fixed_bracket(self):
+        # an absolute 1e-12 stop left dc up to 1e-3 of itself off here, and
+        # wyner_ziv_curve's 1e-8 residual check raised for 189 of these alphas
+        for i in range(200):
+            alpha = 5.4e-5 * (8.1e-3 / 5.4e-5) ** (i / 199)
+            curve = bss.wyner_ziv_curve(alpha)
+            assert 0.0 < curve.dc < alpha
 
     def test_unresolved_turning_point_is_refused(self):
         with pytest.raises(ValueError, match="below 1e-12"):

@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,15 @@ class TestOutputFormats:
         assert stdout == ""
         assert err.startswith(f"config error: cannot write {out_path}")
         assert len(err.splitlines()) == 1
+
+
+# a normal sigma2 whose squared errors leave the float range (sigma2 = 1.7e308
+# needs P >= 4 to keep P/sigma2 a normal float, which the config check requires)
+_MC_OVERFLOW_INPUTS = [
+    ["mc", "uncoded-gaussian", "--sigma2", "1e300", "--trials", "3", "--blocklength", "4"],
+    ["mc", "uncoded-gaussian", "--sigma2", "1.7e308", "--power", "4", "--trials", "3",
+     "--blocklength", "4"],
+]
 
 
 class TestConfigHandling:
@@ -304,6 +314,13 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err == f"config error: {message} is not a positive normal float\n"
 
+    @pytest.mark.parametrize("argv", _MC_OVERFLOW_INPUTS, ids=" ".join)
+    def test_uncoded_gaussian_overflow_is_a_numeric_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: trial statistics leave the float range")
+        assert err.count("\n") == 1  # no numpy floating-point warning lines
+
     @pytest.mark.parametrize("command", ["bss-region", "bss-frontier", "bss-interface"])
     def test_analytic_sweep_budget(self, command, capsys):
         # refused before any mesh array exists: the whole call stays under 1 MiB
@@ -414,7 +431,8 @@ class TestConfigSpace:
     # inputs that once failed, run every time: a huge b gave a NaN rate, tiny
     # alphas a turning-point bracket without the root, a huge sigma2 an inf
     # cell, P*gamma_bar below about 4e-16 a broadcast distortion rejected at
-    # sigma2, and P*gamma_bar = 1e-300 an E1 continued fraction that stalls
+    # sigma2, P*gamma_bar = 1e-300 an E1 continued fraction that stalls, and
+    # a huge sigma2 in mc uncoded-gaussian inf/nan statistics
     @example(_MENDED_INPUTS[0])
     @example(_MENDED_INPUTS[1])
     @example(_MENDED_INPUTS[2])
@@ -422,6 +440,8 @@ class TestConfigSpace:
     @example(_MENDED_INPUTS[4])
     @example(_MENDED_INPUTS[5])
     @example(_MENDED_INPUTS[6])
+    @example(_MC_OVERFLOW_INPUTS[0])
+    @example(_MC_OVERFLOW_INPUTS[1])
     def test_every_config_exits_cleanly(self, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -633,6 +653,17 @@ _PINNED_SHA256 = {
     ("lossless", "frontier"): "e44eea10b257b5db764884806f7b636f197a9cc0ec9f82fb4cb1373cc8ff7f84",
     ("lossless", "interface"): "3b92066169e0587af8cb3bfad879fded84149744ea7951e77ed6a01174327cff",
 }
+# sha256 of stdout of the benchmark-size tables at the reference point, which
+# render in several chunks; recorded with the row-list tables; the flags after
+# the point override its --p
+_PINNED_BENCH_SIZE_SHA256 = {
+    "bss-region --grid 129 --format json":
+        "fe19c3f3ae19ae87b86aea5c7d88316571777bdaf49530d8b66eb8e93e4fc18a",
+    "bss-interface --grid 65 --p 0.3":
+        "95c1988250934ee231d997bcd4be476dfce84d270583a8ddc93949e723903916",
+    "bss-frontier --p-grid 0:1:101 --grid 129":
+        "22ed1fb5ba8f797dedba79aa30ca41fa78dee1c3f44657f2d3dc15d49e8157ca",
+}
 
 
 # sha256 of stdout of the Gaussian tables and the self-check report
@@ -725,6 +756,13 @@ class TestPinnedBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SHA256[(point, table)]
 
+    @pytest.mark.parametrize("argv", sorted(_PINNED_BENCH_SIZE_SHA256))
+    def test_bench_size_bss_table_bytes(self, argv, capsys):
+        command, *flags = argv.split()
+        code, out, _ = run_cli([command, *_POINTS["reference"], *flags], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_BENCH_SIZE_SHA256[argv]
+
     @pytest.mark.parametrize("argv", sorted(_PINNED_MC_SHA256))
     def test_mc_bytes(self, argv, capsys):
         code, out, _ = run_cli(argv.split(), capsys)
@@ -744,6 +782,18 @@ def _reference_fmt(value: object) -> str:
     return str(value)
 
 
+def _rows(table: cli.FigureTable) -> list[list[object]]:
+    """The table's rows, one list per row, expanded from its blocks."""
+    rows = []
+    for block in table.blocks:
+        columns = [
+            e if isinstance(e, list) else e.tolist() if hasattr(e, "tolist") else [e] * block.rows
+            for e in block.entries
+        ]
+        rows.extend(map(list, zip(*columns)))
+    return rows
+
+
 def _reference_csv(table: cli.FigureTable) -> str:
     import csv
     import io
@@ -753,7 +803,7 @@ def _reference_csv(table: cli.FigureTable) -> str:
         buf.write(f"# {key}={table.metadata[key]}\r\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.columns)
-    for row in table.rows:
+    for row in _rows(table):
         writer.writerow([_reference_fmt(v) for v in row])
     return buf.getvalue()
 
@@ -768,7 +818,7 @@ def _reference_json(table: cli.FigureTable) -> str:
 
     doc = {
         "columns": table.columns,
-        "rows": [[clean(v) for v in row] for row in table.rows],
+        "rows": [[clean(v) for v in row] for row in _rows(table)],
         "metadata": dict(sorted(table.metadata.items())),
     }
     return json.dumps(doc, indent=1, sort_keys=False) + "\n"
@@ -808,18 +858,43 @@ _cells = st.one_of(
 )
 
 
+_TRAP_FLOATS = [c for c in _TRAP_CELLS if isinstance(c, float)]
+_floats = st.one_of(st.sampled_from(_TRAP_FLOATS), st.floats())
+
+
+@st.composite
+def _blocks(draw, n_cols, pool, previous):
+    """A block of 0-6 rows; per column one of four kinds of entry."""
+    rows = draw(st.integers(0, 6))
+    entries = []
+    for i in range(n_cols):
+        kind = draw(st.sampled_from(["repeat", "array", "list", "previous"]))
+        reused = previous.entries[i] if previous else None
+        fits = previous is not None and not (cli._is_sequence(reused) and len(reused) != rows)
+        if kind == "previous" and fits:
+            entries.append(reused)  # the same object as the block before: reused tokens
+        elif kind == "array":
+            values = draw(st.lists(_floats, min_size=rows, max_size=rows))
+            entries.append(np.array(values, dtype=np.float64))
+        elif kind == "list":
+            # cells either share one pool object or are an equal but distinct copy
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+            entries.append([pool[j] if draw(st.booleans()) else _copy(pool[j]) for j in picks])
+        else:  # one cell repeated down the block
+            entries.append(pool[draw(st.integers(0, len(pool) - 1))])
+    return cli.Block(rows, tuple(entries))
+
+
 @st.composite
 def _tables(draw):
     n_cols = draw(st.integers(2, 5))
     pool = draw(st.lists(_cells, min_size=1, max_size=12))
-    rows = []
-    for _ in range(draw(st.integers(0, 14))):
-        # cells either share one pool object or are an equal but distinct copy
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_cols, max_size=n_cols))
-        rows.append([pool[i] if draw(st.booleans()) else _copy(pool[i]) for i in picks])
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        blocks.append(draw(_blocks(n_cols, pool, blocks[-1] if blocks else None)))
     columns = draw(st.lists(st.text(max_size=5), min_size=n_cols, max_size=n_cols))
     metadata = draw(st.dictionaries(st.text(max_size=5), st.text(max_size=8), max_size=3))
-    return cli.FigureTable(columns=columns, rows=rows, metadata=metadata)
+    return cli.FigureTable(columns=columns, blocks=blocks, metadata=metadata)
 
 
 _REAL_TABLES = [
@@ -859,14 +934,36 @@ class TestRenderOracle:
         assert cli.render_csv(table) == _reference_csv(table)
         assert cli.render_json(table) == _reference_json(table)
 
-    def test_empty_rows(self):
-        table = cli.FigureTable(columns=["a", "b"], rows=[], metadata={})
+    @pytest.mark.parametrize(
+        "blocks", [[], [cli.Block(0, ([], np.empty(0)))]], ids=["none", "empty"]
+    )
+    def test_empty_rows(self, blocks):
+        table = cli.FigureTable(columns=["a", "b"], blocks=blocks, metadata={})
         assert cli.render_csv(table) == _reference_csv(table)
         assert cli.render_json(table) == _reference_json(table)
 
-    def test_row_arity_checked(self):
+    @pytest.mark.parametrize(
+        "block", [cli.Block(2, (1,)), cli.Block(2, (1, [1, 2, 3])), cli.Block(2, (np.zeros(1), 1))],
+        ids=["arity", "list-length", "array-length"],
+    )
+    def test_row_arity_checked(self, block):
         with pytest.raises(AssertionError):
-            cli.FigureTable(columns=["a", "b"], rows=[[1, 2], [3]], metadata={})
+            cli.FigureTable(columns=["a", "b"], blocks=[block], metadata={})
+
+    def test_mesh_parameters_are_formatted_once(self, monkeypatch):
+        table = _table(["bss-region", "--grid", "33"])
+        formatted = []
+        real = cli._float_tokens
+
+        def counted(values, as_json):
+            formatted.append(len(values))
+            return real(values, as_json)
+
+        monkeypatch.setattr(cli, "_float_tokens", counted)
+        cli.render_csv(table)
+        # D1 and D2 of the 1 + 1 + 33 + 33 * 33 + 1 + 1 rows, then beta of the
+        # Shannon, outage and broadcast rows and the 33 betas and 33 rhos of the mesh
+        assert sum(formatted) == 2 * 1126 + 1 + 1 + 33 + 33 + 33
 
 
 class TestRenderMemory:
