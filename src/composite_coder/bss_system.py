@@ -238,7 +238,9 @@ def wyner_ziv_distortion(r: float, alpha: float) -> float:
         return alpha
     if r == top:
         return 0.0
-    return specfn.find_root(lambda d: wyner_ziv_rate(d, alpha) - r, 0.0, alpha, tol=1e-10)
+    # a stop relative to alpha, which is the absolute 1e-10 for alpha >= 0.01
+    tol = min(1e-10, alpha * 1e-8)
+    return specfn.find_root(lambda d: wyner_ziv_rate(d, alpha) - r, 0.0, alpha, tol=tol)
 
 
 def _evaluate_layered(ch: CompositeBsc, beta: float, rho: float, scheme: Scheme) -> SchemeEvaluation:

@@ -15,9 +15,12 @@ mc <experiment>    Monte Carlo validation runs (uncoded-bsc,
 selfcheck          internal identity and closed-form-versus-numeric checks
 
 Configuration comes from flags or from a key=value file (--config); flags
-win on conflict.  Identical configurations produce byte-identical output:
-metadata carries a canonical parameter string and its hash, never a
-timestamp.
+win on conflict.  One table (_READS) gives the keys each command reads, with
+``mc <experiment>`` a command of its own; a command rejects any other key,
+``selfcheck`` every key.  Resolution rejects the unread keys, then parses and
+range-checks the read ones, then checks the quantities derived from them.
+Identical configurations produce byte-identical output: metadata carries a
+canonical parameter string and its hash, never a timestamp.
 
 Output cells: in CSV a float is its ``.12g`` string and None an empty cell;
 in JSON (indent 1) a float is its ``.12g``-rounded value in shortest
@@ -294,14 +297,17 @@ def _parse_grid_spec(text: str) -> list[float]:
             raise ConfigError(f"grid spec needs hi > lo and n >= 2, got {text!r}")
         _check_sweep_length(n)
         step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
-    _check_sweep_length(text.count(",") + 1)
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid values {text!r}") from exc
-    if len(values) < 2:
-        raise ConfigError("sweep needs at least 2 points")
+        values = [lo + i * step for i in range(n)]
+    else:
+        _check_sweep_length(text.count(",") + 1)
+        try:
+            values = [float(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad grid values {text!r}") from exc
+        if len(values) < 2:
+            raise ConfigError("sweep needs at least 2 points")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep values must be finite, got {text!r}")
     return values
 
 
@@ -592,21 +598,38 @@ def run_selfcheck() -> int:
 # ---------------------------------------------------------------------------
 
 _FLOAT_KEYS = ("alpha1", "alpha2", "p", "b", "sigma2", "power", "gamma_bar")
-_INT_KEYS = ("grid", "seed", "trials", "blocklength")
-_GAUSSIAN_KEYS = {"sigma2", "power", "gamma_bar"}
-_BSC_KEYS = {"alpha1", "alpha2", "b"}
-# the model and sweep keys each mc experiment reads; it rejects the others
-_MC_KEYS = {
-    "uncoded-bsc": {"alpha1"},
-    "uncoded-gaussian": _GAUSSIAN_KEYS,
-    "quantizer": set(),
-    "msvq": set(),
-    "superposition": _BSC_KEYS | {"p"},
+# per configuration key: the parser of its text (a --config value, the
+# --p-grid flag or a default text) and its range, as a test and its wording
+_KEYS = {
+    **{key: (float, math.isfinite, "be finite") for key in _FLOAT_KEYS},
+    "grid": (int, lambda v: v >= 2, "be >= 2"),
+    "seed": (int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)"),
+    "trials": (int, lambda v: v >= 1, "be >= 1"),
+    "blocklength": (int, lambda v: v >= 1, "be >= 1"),
+    "p_grid": (_parse_grid_spec, None, ""),  # the parser checks the sweep
+    "out": (str, None, ""),
+    "format": (str, lambda v: v in ("csv", "json"), "be csv or json"),
 }
-
-_DEFAULT_P_GRID = {
-    "gaussian-compare": "0.25:8:20",
-    "bss-frontier": "0:1:41",
+_BSC_READS = {"alpha1", "alpha2", "p", "b", "grid", "out", "format"}
+_MC_READS = {"seed", "trials", "blocklength", "out", "format"}
+# the keys each command reads; it rejects any other key, by flag or by --config
+_READS = {
+    "gaussian-compare": {"sigma2", "gamma_bar", "p_grid", "out", "format"},
+    "bss-region": _BSC_READS,
+    "bss-frontier": _BSC_READS | {"p_grid"},
+    "bss-interface": _BSC_READS,
+    "selfcheck": set(),
+    "mc uncoded-bsc": _MC_READS | {"alpha1"},
+    "mc uncoded-gaussian": _MC_READS | {"sigma2", "power", "gamma_bar"},
+    "mc quantizer": _MC_READS,
+    "mc msvq": _MC_READS,
+    "mc superposition": _MC_READS | {"alpha1", "alpha2", "p", "b"},
+}
+# the text of a read key that is not given, where RunConfig's default does not hold
+_DEFAULT_TEXTS = {
+    "gaussian-compare": {"p_grid": "0.25:8:20"},
+    "bss-frontier": {"p_grid": "0:1:41"},
+    "bss-interface": {"p": "0.7"},
 }
 
 
@@ -639,10 +662,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="mc experiment: uncoded-bsc | uncoded-gaussian | quantizer | "
                              "msvq | superposition")
     parser.add_argument("--config", default=None, help="key=value configuration file")
-    for key in _FLOAT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None)
-    for key in _INT_KEYS:
-        parser.add_argument(f"--{key}", type=int, default=None)
+    for key, (parse, _, _) in _KEYS.items():
+        if parse in (float, int):
+            parser.add_argument(f"--{key.replace('_', '-')}", type=parse, default=None)
     parser.add_argument("--p-grid", default=None,
                         help="sweep for the command's x axis: lo:hi:n or v1,v2,...")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -655,75 +677,51 @@ def _check_normal(name: str, value: float) -> None:
         raise ConfigError(f"{name} = {value!r} is not a positive normal float")
 
 
+def _command_name(args: argparse.Namespace) -> str:
+    """The command's row of _READS: the command, or ``mc <experiment>``."""
+    if args.command != "mc":
+        if args.experiment is not None:
+            raise ConfigError(f"unexpected positional argument {args.experiment!r}")
+        return args.command
+    if args.experiment is None:
+        raise ConfigError("mc requires an experiment name")
+    if f"mc {args.experiment}" not in _READS:
+        raise ConfigError(f"unknown mc experiment {args.experiment!r}")
+    return f"mc {args.experiment}"
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if args.config else {}
-    known = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"p_grid", "out", "format"}
-    unknown = set(file_values) - known
+    unknown = set(file_values) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    name = _command_name(args)
+    reads = _READS[name]
+    given = {**file_values, **{k: getattr(args, k) for k in _KEYS if getattr(args, k) is not None}}
+
+    unread = sorted(set(given) - reads)
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise ConfigError(f"{name} does not accept {flags}")
 
     cfg = RunConfig(command=args.command, experiment=args.experiment)
-    provided: set[str] = set()
-
-    def pick(key: str, parse) -> None:
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            setattr(cfg, key, cli_value)
-            provided.add(key)
-        elif key in file_values:
+    defaults = _DEFAULT_TEXTS.get(name, {})
+    for key, (parse, in_range, must) in _KEYS.items():
+        value = given.get(key, defaults.get(key))
+        if value is None:
+            continue  # RunConfig's default
+        if isinstance(value, str):
             try:
-                setattr(cfg, key, parse(file_values[key]))
+                value = parse(value)
+            except specfn.BudgetError:
+                raise
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {file_values[key]!r}") from exc
-            provided.add(key)
+                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        if in_range and not in_range(value):
+            raise ConfigError(f"{key} must {must}, got {value!r}")
+        setattr(cfg, key, value)
 
-    for key in _FLOAT_KEYS:
-        pick(key, float)
-    for key in _INT_KEYS:
-        pick(key, int)
-    pick("out", str)
-    pick("format", str)
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-
-    grid_text = args.p_grid if args.p_grid is not None else file_values.get("p_grid")
-    if grid_text is None:
-        grid_text = _DEFAULT_P_GRID.get(cfg.command)
-    if grid_text is not None:
-        cfg.p_grid = _parse_grid_spec(grid_text)
-    if args.p_grid is not None or "p_grid" in file_values:
-        provided.add("p_grid")
-
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
-    if not all(math.isfinite(v) for v in cfg.p_grid):
-        raise ConfigError(f"sweep values must be finite, got {grid_text!r}")
-
-    if cfg.command == "gaussian-compare" and provided & _BSC_KEYS:
-        raise ConfigError("gaussian-compare does not accept BSC parameters")
-    if cfg.command.startswith("bss-") and provided & _GAUSSIAN_KEYS:
-        raise ConfigError(f"{cfg.command} does not accept Gaussian parameters")
-    if cfg.command == "mc":
-        if cfg.experiment is None:
-            raise ConfigError("mc requires an experiment name")
-        if cfg.experiment not in _MC_KEYS:
-            raise ConfigError(f"unknown mc experiment {cfg.experiment!r}")
-        unread = provided & {*_FLOAT_KEYS, "grid", "p_grid"} - _MC_KEYS[cfg.experiment]
-        if unread:
-            flags = ", ".join("--" + key.replace("_", "-") for key in sorted(unread))
-            raise ConfigError(f"mc {cfg.experiment} does not accept {flags}")
-    elif cfg.experiment is not None:
-        raise ConfigError(f"unexpected positional argument {cfg.experiment!r}")
-    if cfg.grid < 2:
-        raise ConfigError(f"grid must be >= 2, got {cfg.grid}")
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2^64), got {cfg.seed}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if cfg.blocklength is not None and cfg.blocklength < 1:
-        raise ConfigError(f"blocklength must be >= 1, got {cfg.blocklength}")
-    if cfg.command.startswith("bss-") or cfg.experiment == "superposition":
+    if "alpha2" in reads:
         if not 0.0 < cfg.alpha1 < cfg.alpha2 < 0.5:
             raise ConfigError(
                 f"need 0 < alpha1 < alpha2 < 1/2, got ({cfg.alpha1}, {cfg.alpha2})"
@@ -733,20 +731,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         for p in (cfg.p, *cfg.p_grid):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
-    if cfg.experiment == "uncoded-bsc" and not 0.0 <= cfg.alpha1 <= 1.0:
+    elif "alpha1" in reads and not 0.0 <= cfg.alpha1 <= 1.0:
         raise ConfigError(f"crossover must lie in [0, 1], got {cfg.alpha1}")
     # parameters <= 0 are left to the model, which rejects them as a numeric error
-    if cfg.command == "gaussian-compare" and cfg.gamma_bar > 0.0:
+    if {"gamma_bar", "p_grid"} <= reads and cfg.gamma_bar > 0.0:
         for power in cfg.p_grid:
             if power > 0.0:
                 _check_normal(f"P*gamma_bar = {power!r}*{cfg.gamma_bar!r}", power * cfg.gamma_bar)
-    if cfg.experiment == "uncoded-gaussian" and min(cfg.sigma2, cfg.power, cfg.gamma_bar) > 0.0:
+    if "power" in reads and min(cfg.sigma2, cfg.power, cfg.gamma_bar) > 0.0:
         _check_normal("sigma2", cfg.sigma2)
         _check_normal(f"P/sigma2 = {cfg.power!r}/{cfg.sigma2!r}", cfg.power / cfg.sigma2)
         for gamma in _uncoded_gains(cfg.gamma_bar):
             _check_normal(f"P*gamma = {cfg.power!r}*{gamma!r}", cfg.power * gamma)
-    if cfg.command == "bss-interface" and "p" not in provided:
-        cfg.p = 0.7
     return cfg
 
 
@@ -782,8 +778,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if args.command == "selfcheck":
-        return run_selfcheck()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = _run(args)
@@ -796,6 +790,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve_config(args)
+        if cfg.command == "selfcheck":
+            return run_selfcheck()
         _emit(_COMMANDS[cfg.command](cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

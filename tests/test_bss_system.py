@@ -143,6 +143,15 @@ class TestWynerZivDistortion:
         with pytest.raises(ValueError):
             bss.wyner_ziv_distortion(_h(0.25) + 0.01, 0.25)
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-9, 1e-10, 1e-11])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_roundtrip_at_tiny_alpha(self, alpha, fraction):
+        # an absolute 1e-10 stop missed the rate by 6% at alpha = 1e-9 and
+        # returned alpha/2 for every rate at alpha <= 1e-10
+        r = fraction * _h(alpha)
+        d = bss.wyner_ziv_distortion(r, alpha)
+        assert bss.wyner_ziv_rate(d, alpha) / r == pytest.approx(1.0, abs=3e-8)
+
 
 class TestBroadcastScheme:
     def test_shannon_special_case(self):

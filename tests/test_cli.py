@@ -4,10 +4,12 @@ import contextlib
 import csv
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -184,6 +186,24 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err == f"config error: mc {argv[1]} does not accept {flags}\n"
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["bss-region", "--seed", "5"], "--seed"),
+            (["bss-region", "--p-grid", "5,6"], "--p-grid"),
+            (["bss-interface", "--p-grid=-1,0.5", "--grid", "5"], "--p-grid"),
+            (["gaussian-compare", "--p", "0.3", "--grid", "7", "--trials", "9"],
+             "--grid, --p, --trials"),
+            (["bss-interface", "--blocklength", "7"], "--blocklength"),
+            (["selfcheck", "--alpha1", "9"], "--alpha1"),
+            (["selfcheck", "--format", "json"], "--format"),
+        ],
+    )
+    def test_unread_flags_rejected(self, argv, flags, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {argv[0]} does not accept {flags}\n"
+
     def test_mc_unread_config_file_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("p-grid = 0.5,1\n")
@@ -230,7 +250,7 @@ class TestConfigHandling:
         "argv",
         [
             ["gaussian-compare", "--gamma-bar", "nan", "--p-grid", "1,2"],
-            ["gaussian-compare", "--power", "inf"],
+            ["mc", "uncoded-gaussian", "--power", "inf", "--trials", "2"],
             ["gaussian-compare", "--sigma2=-inf"],
             ["gaussian-compare", "--p-grid", "1,nan"],
             ["gaussian-compare", "--p-grid", "1:inf:3"],
@@ -275,7 +295,7 @@ class TestConfigHandling:
             ["bss-region", "--p", "1.5", "--grid", "5"],
             ["bss-frontier", "--p-grid", "0,2", "--grid", "5"],
             ["bss-frontier", "--p", "-0.5", "--grid", "5"],
-            ["bss-interface", "--p-grid=-1,0.5", "--grid", "5"],
+            ["bss-interface", "--p", "1.5", "--grid", "5"],
             ["mc", "superposition", "--p", "1.5", "--trials", "1"],
             ["mc", "superposition", "--p", "-0.1", "--trials", "1"],
         ],
@@ -395,33 +415,37 @@ _COMMAND_KEYS = {
     "bss-region": ("alpha1", "alpha2", "b", "p"),
     "bss-frontier": ("alpha1", "alpha2", "b", "p"),
     "bss-interface": ("alpha1", "alpha2", "b", "p"),
-    "gaussian-compare": ("sigma2", "power", "gamma_bar", "p"),
+    "gaussian-compare": ("sigma2", "gamma_bar"),
 }
 
 
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_KEYS)))
-    argv = [command, f"--grid={draw(st.integers(2, 6))}"]
-    # mostly the command's own keys; one key of the other family now and then
+    argv = [command]
+    if command != "gaussian-compare":  # --grid only where a mesh is swept
+        argv.append(f"--grid={draw(st.integers(2, 6))}")
+    # mostly the command's own keys; a key it does not read now and then
     keys = draw(st.sets(st.sampled_from(_COMMAND_KEYS[command])))
     if draw(st.integers(0, 7)) == 0:
         keys.add(draw(st.sampled_from(sorted(_KEY_VALUES))))
     for key in sorted(keys):
         argv.append(f"--{key.replace('_', '-')}={draw(_KEY_VALUES[key])!r}")
-    sweep = _KEY_VALUES["power" if command == "gaussian-compare" else "p"]
-    grid = (draw(sweep), draw(sweep)) if draw(st.booleans()) else (0.5, 1.0)
-    return argv + [f"--p-grid={grid[0]!r},{grid[1]!r}"]
+    if command in ("gaussian-compare", "bss-frontier"):  # the commands with an x axis
+        sweep = _KEY_VALUES["power" if command == "gaussian-compare" else "p"]
+        grid = (draw(sweep), draw(sweep)) if draw(st.booleans()) else (0.5, 1.0)
+        argv.append(f"--p-grid={grid[0]!r},{grid[1]!r}")
+    return argv
 
 
 _MENDED_INPUTS = [
-    ["bss-region", "--grid=3", "--b=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
-    ["bss-region", "--grid=3", "--alpha1=1e-10", "--alpha2=1e-09", "--p-grid=0.5,1.0"],
-    ["gaussian-compare", "--grid=2", "--sigma2=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
-    ["gaussian-compare", "--grid=2", "--p-grid=1e-17,1.0"],
-    ["gaussian-compare", "--grid=2", "--p-grid=3e-19,1.0"],
-    ["gaussian-compare", "--grid=2", "--p-grid=1e-16,2e-16,3e-16,1.0"],
-    ["gaussian-compare", "--grid=2", "--p-grid=1e-300,1.0"],
+    ["bss-region", "--grid=3", "--b=1.7976931348623157e+308"],
+    ["bss-region", "--grid=3", "--alpha1=1e-10", "--alpha2=1e-09"],
+    ["gaussian-compare", "--sigma2=1.7976931348623157e+308", "--p-grid=0.5,1.0"],
+    ["gaussian-compare", "--p-grid=1e-17,1.0"],
+    ["gaussian-compare", "--p-grid=3e-19,1.0"],
+    ["gaussian-compare", "--p-grid=1e-16,2e-16,3e-16,1.0"],
+    ["gaussian-compare", "--p-grid=1e-300,1.0"],
 ]
 
 
@@ -443,10 +467,13 @@ class TestConfigSpace:
     @example(_MC_OVERFLOW_INPUTS[0])
     @example(_MC_OVERFLOW_INPUTS[1])
     def test_every_config_exits_cleanly(self, argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 2, 3, 4), argv
+        flags = {a.split("=")[0][2:].replace("-", "_") for a in argv if a.startswith("--")}
+        if argv[0] in _COMMAND_KEYS and flags - {"grid", "p_grid", *_COMMAND_KEYS[argv[0]]}:
+            assert code == 2 and "does not accept" in err.getvalue(), argv
         if code == 0:
             _, _, rows = parse_csv(out.getvalue())
             for cell in (c for row in rows for c in row if c):
@@ -464,6 +491,97 @@ class TestConfigSpace:
         _, header, rows = parse_csv(out)
         numeric = [c for row in rows for c, name in zip(row, header) if c and name != "scheme"]
         assert numeric and all(math.isfinite(float(c)) for c in numeric)
+
+
+# the keys each command reads, written out here and not taken from cli
+_READS = {
+    "gaussian-compare": "sigma2 gamma_bar p_grid out format",
+    "bss-region": "alpha1 alpha2 p b grid out format",
+    "bss-frontier": "alpha1 alpha2 p b grid p_grid out format",
+    "bss-interface": "alpha1 alpha2 p b grid out format",
+    "selfcheck": "",
+    "mc uncoded-bsc": "alpha1 seed trials blocklength out format",
+    "mc uncoded-gaussian": "sigma2 power gamma_bar seed trials blocklength out format",
+    "mc quantizer": "seed trials blocklength out format",
+    "mc msvq": "seed trials blocklength out format",
+    "mc superposition": "alpha1 alpha2 p b seed trials blocklength out format",
+}
+# every configuration key: a text that each command reading it accepts, and its value
+_VALID = {
+    "alpha1": ("0.2", 0.2), "alpha2": ("0.4", 0.4), "p": ("0.3", 0.3), "b": ("3", 3.0),
+    "sigma2": ("2", 2.0), "power": ("3", 3.0), "gamma_bar": ("0.5", 0.5),
+    "grid": ("9", 9), "seed": ("7", 7), "trials": ("3", 3), "blocklength": ("16", 16),
+    "p_grid": ("0.5,1", [0.5, 1.0]), "out": ("table.csv", "table.csv"),
+    "format": ("json", "json"),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _resolve(argv):
+    return cli._resolve_config(cli._build_parser().parse_args(argv))
+
+
+class TestKeyTable:
+    """Each command accepts a key, by flag or by --config, exactly when it reads it."""
+
+    @pytest.mark.parametrize("name, key", [(n, k) for n in _READS for k in _VALID])
+    def test_flag_accepted_iff_read(self, name, key, capsys):
+        argv = [*name.split(), _flag(key), _VALID[key][0]]
+        if key in _READS[name].split():
+            assert getattr(_resolve(argv), key) == _VALID[key][1]
+        else:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"config error: {name} does not accept {_flag(key)}\n"
+
+    @pytest.mark.parametrize("name", _READS)
+    def test_config_file_accepted_iff_read(self, name, tmp_path, capsys):
+        reads = _READS[name].split()
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {_VALID[key][0]}\n" for key in reads))
+        cfg = _resolve([*name.split(), "--config", str(config)])
+        assert {key: getattr(cfg, key) for key in reads} == {key: _VALID[key][1] for key in reads}
+        # every key at once: the error names each unread one
+        config.write_text("".join(f"{key} = {text}\n" for key, (text, _) in _VALID.items()))
+        code, out, err = run_cli([*name.split(), "--config", str(config)], capsys)
+        unread = ", ".join(_flag(key) for key in sorted(set(_VALID) - set(reads)))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {name} does not accept {unread}\n"
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name):
+    """A bench script as the module ``name``, which the bench scripts import each other by."""
+    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_bench("workloads")
+probe = _load_bench("probe")
+
+
+class TestBenchArgv:
+    """The benchmark's invocations pass only read keys, and its probe exits as documented."""
+
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_workload_argvs_resolve(self, name):
+        passes = next(workloads.WORKLOADS[name].rounds(random.Random(0), True))
+        argvs = [op.argv for ops in passes for op in ops]
+        assert argvs
+        for argv in argvs:
+            _resolve(list(argv))
+
+    def test_probe_inputs_exit_as_documented(self, capsys):
+        for _, argv, want in probe.INPUTS:
+            code, _, _ = run_cli(list(argv), capsys)
+            assert code == want, argv
 
 
 class TestImports:
