@@ -2,7 +2,8 @@
 
 Library layout:
 
-- :mod:`composite_coder.specfn`: scalar special functions, root finding,
+- :mod:`composite_coder.specfn`: scalar special functions and the binary
+  entropy inverse (one numpy routine for scalars and arrays), root finding,
   quadrature, scalar minimization, Pareto hulls.
 - :mod:`composite_coder.channels`: channel models and capacity metrics
   (capacity versus outage, outage capacity, expected capacity).

@@ -33,16 +33,11 @@ expected, and the last point of each run of equal k.
 The two layered families are swept as arrays: ``sweep_layered`` evaluates a
 whole (beta, rho) mesh with numpy (imported on first use, so importing this
 module does not load numpy).  Its values equal the scalar evaluators' bit
-for bit: the mesh arithmetic keeps their operation order, and the entropy
-inverse reaches the scalar bisection's final bracket.  It starts each
-element at a dyadic bracket near a Newton estimate and certifies that the
-scalar bisection passes through it (see ``_inverse_entropy_array``).  The
-certificate rests on one premise: the numpy and the scalar entropy err by at
-most _ENTROPY_GUARD together, |h_np - h| + |h_scalar - h| <= _ENTROPY_GUARD,
-which ``tests/test_bss_system.py::TestEntropyInverse::
-test_entropy_errors_fit_the_guard`` checks against mpmath.  The scalar
-evaluators stay the per-point API and the reference the array core is tested
-against.  A sweep holds at most MESH_CAP points; a larger one raises
+for bit: the mesh arithmetic keeps their operation order, and both invert
+the distortion-rate function with ``specfn.bss_distortion_rate_array``, of
+which the scalar ``specfn.bss_distortion_rate`` is the one-element call.  The
+scalar evaluators stay the per-point API and the reference the array core is
+tested against.  A sweep holds at most MESH_CAP points; a larger one raises
 ``specfn.BudgetError`` before any array is allocated.
 """
 
@@ -52,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import specfn
 from .channels import CompositeBsc, bsc_bc_rate_region
@@ -90,26 +85,9 @@ __all__ = [
 RHO_MAX = 1.0 - 1e-6
 MESH_CAP = 2**21  # (beta, rho) points per layered sweep: admits grid 1025, not 1449
 
-# The scalar entropy inverse halves [0, 1/2] until the bracket is at most
-# 1e-12 wide; the widths are 0.5 * 2^-k exactly and 0.5 * 2^-39 <= 1e-12 <
-# 0.5 * 2^-38, so it always halves 39 times.
-_ENTROPY_HALVINGS = 39
-# The certification premise: on (0, 1/2) the numpy entropy h_np (np.log2) and
-# the scalar specfn.binary_entropy h_scalar satisfy |h_np - h| + |h_scalar - h|
-# <= _ENTROPY_GUARD, h the exact entropy; against mpmath each errs by at most
-# 2.2e-16 (TestEntropyInverse::test_entropy_errors_fit_the_guard).  So an h_np
-# more than the guard from the target decides a comparison as h_scalar would,
-# and one at or within it is re-made with h_scalar: every bisection decision
-# matches the scalar path, and a bracket certified with h_np is one the scalar
-# bisection passes through.
-_ENTROPY_GUARD = 4e-15
-# depths at which the array inverse certifies its starting bracket, deepest
-# first; depth 0 is [0, 1/2], which needs no certificate
-_CERTIFIED_DEPTHS = (_ENTROPY_HALVINGS, 30, 0)
-# Newton steps of the approximate inverse that picks the bracket to certify
-_NEWTON_STEPS = 3
-# entropy inversions per bisection chunk: bounds the temporaries of a large mesh
-_INVERSION_CHUNK = 2**16
+# a bound on the Newton steps of one Wyner-Ziv solve; over alpha in
+# [1e-12, 0.4998] and rates up to h(alpha) a solve takes at most 10
+_WZ_NEWTON_CAP = 64
 
 
 class Scheme(str, Enum):
@@ -183,27 +161,61 @@ def _g_prime(d: float, alpha: float) -> float:
     return (1.0 - 2.0 * alpha) * math.log2((1.0 - conv) / conv) - math.log2((1.0 - d) / d)
 
 
+def _g_second(d: float, alpha: float) -> float:
+    """Analytic second derivative of _g on (0, alpha).
+
+    g''(d) = [1/(d(1-d)) - (1 - 2 alpha)^2/(c(1-c))]/ln 2 with c = alpha conv d.
+    """
+    conv = specfn.binary_convolve(alpha, d)
+    return (1.0 / (d * (1.0 - d)) - (1.0 - 2.0 * alpha) ** 2 / (conv * (1.0 - conv))) / math.log(2.0)
+
+
+def _newton_in_log(f: Callable[[float], float], slope: Callable[[float], float], d: float, alpha: float) -> float:
+    """The root in (0, alpha) of f, whose derivative is ``slope``, by Newton on ln d.
+
+    Steps in ln d keep every iterate positive.  They stop once a step is at
+    most 1e-14 or no smaller than the one before, which only rounding noise
+    in f makes it (near r = h(alpha), g(d) - r has few correct digits).  An
+    iterate at or past alpha means the root is not resolved in floats, and
+    raises ValueError.
+    """
+    previous = math.inf
+    for _ in range(_WZ_NEWTON_CAP):
+        step = f(d) / (slope(d) * d)
+        d *= math.exp(-step)
+        if not d < alpha:
+            raise ValueError(f"Wyner-Ziv root for crossover {alpha} is not resolved")
+        if abs(step) <= 1e-14 or abs(step) >= previous:
+            break
+        previous = abs(step)
+    return d
+
+
 @lru_cache(maxsize=None)
 def wyner_ziv_turning_point(alpha: float) -> float:
-    """The unique dc in (0, alpha) where g(dc)/(dc - alpha) = g'(dc)."""
+    """The unique dc in (0, alpha) where g(dc)/(dc - alpha) = g'(dc).
+
+    Newton on the tangent gap g(d) + g'(d)(alpha - d), whose derivative is
+    g''(d)(alpha - d), from max(alpha^2/e, 2 alpha - 1/2): dc tends to
+    alpha^2/e as alpha -> 0 and to 2 alpha - 1/2 as alpha -> 1/2.  Within
+    2e-4 of 1/2, where the tangent gap (about eps^2 with eps = 1/2 - alpha)
+    has few correct digits, dc is the series 2 alpha - 1/2 + (16/3) eps^3 of
+    the entropy about 1/2, whose O(eps^5) rest is below a tenth of an ulp.
+    """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"crossover must lie in (0, 1/2), got {alpha}")
-
-    def tangent_gap(d: float) -> float:
-        return _g(d, alpha) + _g_prime(d, alpha) * (alpha - d)
-
-    # the stop is relative to dc (about alpha^2/e) below alpha of about 0.0316
-    # and far above the float spacing there, so the bisection always ends
-    lo, hi, tol = 1e-9, alpha - 1e-9, min(1e-12, alpha * alpha * 1e-9)
-    if not (lo < hi and tangent_gap(lo) <= 0.0):
-        # dc is about alpha^2/e, below 1e-9 for alpha under about 5.2e-5: a
-        # bracket and a tolerance relative to alpha^2.  The tangent gap holds
-        # dc to about 1e-17/alpha relative, so alpha below 1e-12 is refused.
-        if alpha < 1e-12:
-            raise ValueError(f"crossover {alpha} is below 1e-12, where dc is not resolved")
-        square = alpha * alpha
-        lo, hi, tol = square / 8.0, square, square * 1e-12
-    return specfn.find_root(tangent_gap, lo, hi, tol=tol)
+    if alpha < 1e-12:
+        # the gap's terms cancel more as alpha falls: about 40 ulps of dc at 1e-12
+        raise ValueError(f"crossover {alpha} is below 1e-12, where dc is not resolved")
+    eps = 0.5 - alpha
+    if eps <= 2e-4:
+        return 2.0 * alpha - 0.5 + 16.0 / 3.0 * eps**3
+    return _newton_in_log(
+        lambda d: _g(d, alpha) + _g_prime(d, alpha) * (alpha - d),
+        lambda d: _g_second(d, alpha) * (alpha - d),
+        max(alpha * alpha / math.e, 2.0 * alpha - 0.5),
+        alpha,
+    )
 
 
 def wyner_ziv_curve(alpha: float) -> WynerZivCurve:
@@ -230,7 +242,12 @@ def wyner_ziv_rate(d: float, alpha: float) -> float:
 
 
 def wyner_ziv_distortion(r: float, alpha: float) -> float:
-    """Inverse of wyner_ziv_rate: the distortion reached at rate r."""
+    """Inverse of wyner_ziv_rate: the distortion reached at rate r.
+
+    At or below g(dc) the rate is the chord, whose inverse is closed:
+    d = alpha - r (alpha - dc)/g(dc).  Above it, Newton solves g(d) = r from
+    the chord through (0, h(alpha)) and (dc, g(dc)).
+    """
     top = _g(0.0, alpha)  # = h(alpha)
     if not 0.0 <= r <= top:
         raise ValueError(f"rate must lie in [0, h(alpha)={top}], got {r}")
@@ -238,9 +255,16 @@ def wyner_ziv_distortion(r: float, alpha: float) -> float:
         return alpha
     if r == top:
         return 0.0
-    # a stop relative to alpha, which is the absolute 1e-10 for alpha >= 0.01
-    tol = min(1e-10, alpha * 1e-8)
-    return specfn.find_root(lambda d: wyner_ziv_rate(d, alpha) - r, 0.0, alpha, tol=tol)
+    dc = wyner_ziv_turning_point(alpha)
+    g_dc = _g(dc, alpha)
+    if r <= g_dc:
+        return alpha - r * (alpha - dc) / g_dc
+    return _newton_in_log(
+        lambda d: _g(d, alpha) - r,
+        lambda d: _g_prime(d, alpha),
+        dc * (top - r) / (top - g_dc),
+        alpha,
+    )
 
 
 def _evaluate_layered(ch: CompositeBsc, beta: float, rho: float, scheme: Scheme) -> SchemeEvaluation:
@@ -367,101 +391,6 @@ class LayeredSweep:
         return specfn.pareto_lower_hull(list(zip(self.d1[index].tolist(), d2[keep].tolist())))
 
 
-def _entropy_array(p: np.ndarray) -> np.ndarray:
-    """Binary entropy in bits of every p in (0, 1), with np.log2."""
-    import numpy as np
-
-    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
-
-
-def _approximate_inverse_entropy(r: np.ndarray) -> np.ndarray:
-    """A start for ``_inverse_entropy_array``: about h^-1(r) in (0, 1/2), no promise.
-
-    Newton steps on h(p) = r from the inverse of Topsoe's upper bound
-    h(p) <= (4p(1-p))^(1/ln 4).  h is concave, so the steps approach the root
-    from below.  Each step starts from p clipped to at least the smallest
-    normal float, so that log2(p) is finite, and to below 1/2 - 2^-30, so that
-    the slope log2(1-p) - log2(p) is positive; every r < 1 has its root below
-    that.
-    """
-    import numpy as np
-
-    x = r ** math.log(4.0)
-    p = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
-    for _ in range(_NEWTON_STEPS):
-        p = np.clip(p, 2.0**-1022, 0.5 - 2.0**-30)
-        lp, lq = np.log2(p), np.log2(1.0 - p)
-        p = p + (r + (p * lp + (1.0 - p) * lq)) / (lq - lp)
-    return p
-
-
-def _inverse_entropy_array(r: np.ndarray) -> np.ndarray:
-    """``specfn.inverse_binary_entropy`` of every r in (0, 1), bit for bit.
-
-    The scalar bisection walks a binary tree of dyadic brackets: at depth J
-    its bracket is a node [L, H] of width 2^-(J+1), and after 39 halvings it
-    returns the midpoint of a leaf.  Each element starts at the node of depth
-    J that holds its approximate inverse and certifies it with two entropy
-    evaluations: L = 0 or h(L) < r - G, and H = 1/2 or h(H) > r + G, with
-    G = _ENTROPY_GUARD.  h increases on [0, 1/2], so by the guard's premise
-    every midpoint the scalar bisection visits at or below L then decides
-    "below" and every one at or above H "not below": it reaches [L, H] too.
-    From there the remaining halvings run as the scalar ones do, with entropy
-    from np.log2 and any comparison within G of the target re-decided by the
-    scalar ``specfn.binary_entropy``.  Elements whose node fails certification
-    retry at the next of _CERTIFIED_DEPTHS; depth 0 is [0, 1/2] itself.
-    """
-    import numpy as np
-
-    out = np.empty_like(r)
-    guess = _approximate_inverse_entropy(r)
-    guess = np.where(guess > 0.0, np.minimum(guess, 0.5), 0.0)  # NaN -> 0
-    todo = np.arange(r.size)
-    for depth in _CERTIFIED_DEPTHS:
-        width = 0.5 ** (depth + 1)
-        lo = np.minimum(np.floor(guess[todo] / width), 2.0**depth - 1.0) * width
-        hi = lo + width
-        target = r[todo]
-        # differences against a float guard: rounding is monotone, so a
-        # computed difference beyond the guard is beyond it exactly
-        h_lo = _entropy_array(np.where(lo > 0.0, lo, 0.5))
-        certified = ((lo == 0.0) | (h_lo - target < -_ENTROPY_GUARD)) & (
-            (hi == 0.5) | (_entropy_array(hi) - target > _ENTROPY_GUARD)
-        )
-        done, lo, hi, target = todo[certified], lo[certified], hi[certified], target[certified]
-        for _ in range(_ENTROPY_HALVINGS - depth):
-            mid = 0.5 * (lo + hi)
-            h = _entropy_array(mid)
-            below = h < target
-            tie = np.flatnonzero(np.abs(h - target) <= _ENTROPY_GUARD)
-            if tie.size:
-                below[tie] = [
-                    specfn.binary_entropy(m) < t
-                    for m, t in zip(mid[tie].tolist(), target[tie].tolist())
-                ]
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[done] = 0.5 * (lo + hi)
-        todo = todo[~certified]
-    return out
-
-
-def _distortion_rate_array(rate: np.ndarray) -> np.ndarray:
-    """``specfn.bss_distortion_rate`` of every element, bit for bit."""
-    import numpy as np
-
-    if not np.all(rate >= 0.0):
-        raise ValueError("rate must be nonnegative")
-    target = 1.0 - rate
-    # rate >= 1 is lossless (0); target 1 (rate 0, or below half an ulp) is 1/2
-    out = np.where(target == 1.0, 0.5, 0.0)
-    todo = np.flatnonzero((rate < 1.0) & (target != 1.0))
-    for start in range(0, todo.size, _INVERSION_CHUNK):
-        chunk = todo[start : start + _INVERSION_CHUNK]
-        out[chunk] = _inverse_entropy_array(target[chunk])
-    return out
-
-
 def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
     """Broadcast or residue splitting on the uniform grid of its sweep.
 
@@ -495,14 +424,14 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
         rho = np.tile(rhos, grid)
     b, p = ch.b, ch.p
     # rho <= RHO_MAX < 1 throughout, so _evaluate_layered's rho = 1 branch never applies
-    d2 = _distortion_rate_array((b - rho) * r2)
+    d2 = specfn.bss_distortion_rate_array((b - rho) * r2)
     # As in _evaluate_layered, the refinement term is exactly 0 where r1 = 0.  A b
     # near the float maximum overflows the rate to inf, which is lossless, as
     # Python float arithmetic does without a warning.
     with np.errstate(over="ignore"):
         refine = np.multiply((b - rho) / (1.0 - rho), r1, out=np.zeros_like(r1), where=r1 != 0.0)
         rate1 = refine + (b - rho) * r2
-    d1 = _distortion_rate_array(rate1)
+    d1 = specfn.bss_distortion_rate_array(rate1)
     big_d1 = (1.0 - rho) * d1 + rho * np.minimum(d2, ch.alpha1)
     big_d2 = (1.0 - rho) * d2 + rho * np.minimum(d2, ch.alpha2)
     kt = (b - rho) * (r1 + r2) + rho

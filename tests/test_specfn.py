@@ -36,6 +36,19 @@ class TestBinaryEntropy:
             specfn.binary_entropy(1.0 - p), abs=1e-12
         )
 
+    def test_relative_error_against_mpmath(self):
+        # log1p keeps the (1 - p) term, about p/ln 2, that log2(1 - p) drops
+        # once 1 - p rounds to 1; subnormal values err by up to one spacing
+        oracle = pytest.importorskip("mp_oracle")
+        rng = random.Random(22)
+        ps = [rng.random() * 0.5 for _ in range(1000)]
+        ps += [10.0 ** rng.uniform(-323.3, -1.0) for _ in range(1000)]
+        ps += [0.5 - 10.0 ** rng.uniform(-16.0, -1.0) for _ in range(300)]
+        ps += [5e-324, 2.0**-1022, 1e-20, 2.0**-40, 0.5 - 2.0**-54]
+        for p in ps:
+            exact = oracle.entropy(p)
+            assert abs(specfn.binary_entropy(p) - exact) <= 2 * 2.0**-52 * exact + 2.0**-1074, p
+
 
 class TestInverseBinaryEntropy:
     def test_endpoints(self):
@@ -75,6 +88,64 @@ class TestDistortionRate:
     def test_domain(self):
         with pytest.raises(ValueError):
             specfn.bss_distortion_rate(-0.01)
+
+    def test_printed_values(self):
+        # the bisection to an absolute 1e-12 printed 0.110027864439,
+        # 0.041692690274 and 6.51531431686e-05
+        got = [f"{specfn.bss_distortion_rate(r):.12g}" for r in (0.5, 0.75, 0.999)]
+        assert got == ["0.110027864438", "0.0416926902737", "6.51531429033e-05"]
+
+
+def _assert_d_within_ulps(rates, bound=8.0):
+    oracle = pytest.importorskip("mp_oracle")
+    for rate in rates:
+        d = specfn.bss_distortion_rate(rate)
+        assert oracle.ulps(d, oracle.distortion_rate(rate, d)) <= bound, rate
+
+
+_RATE_SAMPLES = {
+    "uniform": lambda rng: rng.random(),
+    "tiny": lambda rng: 10.0 ** rng.uniform(-300.0, -1.0),
+    "near-one": lambda rng: 1.0 - 10.0 ** rng.uniform(-16.0, -14.0),
+    "near-half": lambda rng: 0.5 + rng.uniform(-1e-3, 1e-3),
+    "below-half": lambda rng: rng.uniform(0.4, 0.5),
+    "near-form-switch": lambda rng: specfn._U_FORM_BELOW + rng.uniform(-1e-3, 1e-3),
+}
+
+
+class TestDistortionRateAccuracy:
+    """D(rate) against a 50-digit mpmath inverse over the whole domain."""
+
+    @pytest.mark.parametrize("kind", sorted(_RATE_SAMPLES))
+    def test_within_8_ulps(self, kind):
+        rng = random.Random(kind)
+        rates = [_RATE_SAMPLES[kind](rng) for _ in range(200)]
+        # the last two are 10 ulps off in the u = 1 - 2D form, which is why it
+        # stops at rate 0.3
+        edges = [5e-324, 1e-300, 2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53,
+                 0.49058759702281907, 0.480538206288094]
+        _assert_d_within_ulps([r for r in rates + edges if 0.0 < r < 1.0])
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_within_8_ulps_sampled(self, rate):
+        _assert_d_within_ulps([rate])
+
+    def test_printed_digits_match(self):
+        oracle = pytest.importorskip("mp_oracle")
+        rng = random.Random(600)
+        for rate in (rng.random() for _ in range(600)):
+            d = specfn.bss_distortion_rate(rate)
+            assert oracle.g12(d) == oracle.g12(oracle.distortion_rate(rate, d)), rate
+
+    def test_inverse_entropy_within_8_ulps(self):
+        # small entropies down to those whose inverse is the least normal float
+        oracle = pytest.importorskip("mp_oracle")
+        rng = random.Random(7)
+        targets = [10.0 ** rng.uniform(-305.0, 0.0) for _ in range(300)] + [1e-300, 0.5, 0.7]
+        for r in targets:
+            p = specfn.inverse_binary_entropy(r)
+            assert oracle.ulps(p, oracle.inverse_entropy(r, p)) <= 8.0, r
 
 
 class TestBinaryConvolve:
