@@ -21,23 +21,22 @@ in bits per channel use and all distortions are Hamming fractions.
 
 Every family reaches its callers as a ``LayeredSweep`` struct of arrays.
 ``sweep_family`` is the one registry: it sweeps broadcast and residue
-splitting as meshes and wraps each other family as the one-point sweep of
-its scalar evaluator; ``sweep_families`` sweeps several, residue splitting
-first.  Each table then has one code path: a region is
-``sweep_family(...).hull()``, the best scheme per bad-state probability is
-``expected_distortion_frontier`` and the interface-complexity tradeoff is
-``interface_staircases`` of each sweep's (kt, kr, expected) arrays, taken
-with numpy: the points sorted by (k, expected), the running minimum of
-expected, and the last point of each run of equal k.
+splitting as meshes, Shannon and outage as one-point meshes, and wraps each
+systematic family as the one-point sweep of its evaluator;
+``sweep_families`` sweeps several, residue splitting first.  Each table then
+has one code path: a region is ``sweep_family(...).hull()``, the best scheme
+per bad-state probability is ``expected_distortion_frontier`` and the
+interface-complexity tradeoff is ``interface_staircases`` of each sweep's
+(kt, kr, expected) arrays, taken with numpy: the points sorted by
+(k, expected), the running minimum of expected, and the last point of each
+run of equal k.
 
-The two layered families are swept as arrays: ``sweep_layered`` evaluates a
-whole (beta, rho) mesh with numpy (imported on first use, so importing this
-module does not load numpy).  Its values equal the scalar evaluators' bit
-for bit: the mesh arithmetic keeps their operation order, and both invert
-the distortion-rate function with ``specfn.bss_distortion_rate_array``, of
-which the scalar ``specfn.bss_distortion_rate`` is the one-element call.  The
-scalar evaluators stay the per-point API and the reference the array core is
-tested against.  A sweep holds at most MESH_CAP points; a larger one raises
+The layered families have one arithmetic path, ``_layered_mesh``: numpy
+(imported on first use, so importing this module does not load numpy) over
+a beta-major (beta, rho) mesh, with one ``specfn.bss_distortion_rate_array``
+call for all its distortions.  ``sweep_layered`` runs it on a uniform grid,
+and the per-point evaluators (``broadcast_scheme`` and the rest) on a
+one-point mesh.  A sweep holds at most MESH_CAP points; a larger one raises
 ``specfn.BudgetError`` before any array is allocated.
 """
 
@@ -267,87 +266,15 @@ def wyner_ziv_distortion(r: float, alpha: float) -> float:
     )
 
 
-def _evaluate_layered(ch: CompositeBsc, beta: float, rho: float, scheme: Scheme) -> SchemeEvaluation:
-    """Shared evaluation of broadcast (rho = 0) and residue splitting.
-
-    With rho of the source symbols' channel budget reserved for uncoded
-    residue transmission, the primary channel has bandwidth ratio (b - rho):
-    base layer at rate (b-rho)*r2, refinement at ((b-rho)/(1-rho))*r1 over
-    the first (1-rho) fraction of the source.
-    """
-    rates = bsc_bc_rate_region(ch, beta)
-    b = ch.b
-    d2 = specfn.bss_distortion_rate((b - rho) * rates.r2)
-    if rho < 1.0:
-        # at beta = 0 the refinement term is exactly 0, also where its factor overflows
-        refine = (b - rho) / (1.0 - rho) * rates.r1 if rates.r1 != 0.0 else 0.0
-        d1 = specfn.bss_distortion_rate(refine + (b - rho) * rates.r2)
-    else:
-        d1 = 0.0  # weighted out below
-    big_d1 = (1.0 - rho) * d1 + rho * min(d2, ch.alpha1)
-    big_d2 = (1.0 - rho) * d2 + rho * min(d2, ch.alpha2)
-    kt = (b - rho) * (rates.r1 + rates.r2) + rho
-    kr = (b - rho) * ((1.0 - ch.p) * rates.r1 + rates.r2)
-    # uncoded residue is forwarded in state i only when it beats the base layer
-    if d2 > ch.alpha2:
-        kr += rho
-    elif d2 > ch.alpha1:
-        kr += (1.0 - ch.p) * rho
-    params = {"beta": beta} if scheme in (Scheme.BROADCAST, Scheme.SHANNON, Scheme.OUTAGE) else {
-        "beta": beta,
-        "rho": rho,
-    }
-    return SchemeEvaluation(
-        scheme=scheme,
-        params=params,
-        d1=big_d1,
-        d2=big_d2,
-        expected=(1.0 - ch.p) * big_d1 + ch.p * big_d2,
-        kt=kt,
-        kr=kr,
-    )
-
-
-def broadcast_scheme(ch: CompositeBsc, beta: float) -> SchemeEvaluation:
-    """Superposition broadcast code with a two-layer refinable source code.
-
-    d1 = D(b*(r1+r2)), d2 = D(b*r2); kt = b*(r1+r2),
-    kr = b*((1-p)*r1 + r2).
-    """
-    return _evaluate_layered(ch, beta, 0.0, Scheme.BROADCAST)
-
-
-def shannon_scheme(ch: CompositeBsc) -> SchemeEvaluation:
-    """Single-rate code serving both states: broadcast at beta = 0."""
-    return _evaluate_layered(ch, 0.0, 0.0, Scheme.SHANNON)
-
-
-def outage_scheme(ch: CompositeBsc) -> SchemeEvaluation:
-    """Good-state-only code, bad state written off: broadcast at beta = 1/2."""
-    return _evaluate_layered(ch, 0.5, 0.0, Scheme.OUTAGE)
-
-
-def residue_splitting_scheme(ch: CompositeBsc, beta: float, rho: float) -> SchemeEvaluation:
-    """Broadcast layering with a rho fraction of residue sent uncoded.
-
-    rho = 0 reproduces broadcast_scheme(beta) field for field; rho = 1 is the
-    all-uncoded limit where only the base quantizer and the uncoded residue
-    matter.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    return _evaluate_layered(ch, beta, rho, Scheme.RESIDUE_SPLITTING)
-
-
 @dataclass(frozen=True, eq=False)
 class LayeredSweep:
     """One scheme family evaluated at the points of its sweep, as a struct of arrays.
 
-    Element i is the point (beta[i], rho[i]); d1, d2, expected, kt and kr
-    equal the fields of the family's scalar evaluator at that point exactly.
-    ``names`` are the coordinates that are SchemeEvaluation params.
-    Broadcast sweeps have rho = 0 throughout; a coordinate a family lacks is
-    NaN.
+    Element i is the point (beta[i], rho[i]) with its d1, d2, expected, kt
+    and kr.  ``names`` are the coordinates that are SchemeEvaluation params.
+    The layered families (broadcast, its Shannon and outage endpoints, and
+    residue splitting) carry their (beta, rho) points, broadcast with rho = 0
+    throughout; the systematic families have neither coordinate, and hold NaN.
     """
 
     scheme: Scheme
@@ -391,51 +318,39 @@ class LayeredSweep:
         return specfn.pareto_lower_hull(list(zip(self.d1[index].tolist(), d2[keep].tolist())))
 
 
-def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
-    """Broadcast or residue splitting on the uniform grid of its sweep.
+def _layered_mesh(
+    ch: CompositeBsc, family: Scheme, betas: Sequence[float], rhos: Sequence[float]
+) -> LayeredSweep:
+    """A layered family at the beta-major mesh of ``betas`` x ``rhos``: the one layered path.
 
-    Broadcast takes ``grid`` values of beta in [0, 1/2]; residue splitting
-    the beta-major grid x grid mesh of beta and rho in [0, RHO_MAX].  Each
-    point equals the scalar ``_evaluate_layered`` at it exactly: the rate
-    pair comes from the scalar ``bsc_bc_rate_region`` once per beta, and the
-    mesh arithmetic keeps the scalar operation order.
+    With rho of the source symbols' channel budget reserved for uncoded
+    residue transmission, the primary channel has bandwidth ratio (b - rho):
+    base layer at rate (b-rho)*r2, refinement at ((b-rho)/(1-rho))*r1 over
+    the first (1-rho) fraction of the source.  The rate pair comes from
+    ``bsc_bc_rate_region`` once per beta, and the d2 and d1 rates are
+    inverted in one ``specfn.bss_distortion_rate_array`` call.
     """
-    if family not in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
-        raise ValueError(f"{family} is not a layered family")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    points = grid if family == Scheme.BROADCAST else grid * grid
-    if points > MESH_CAP:
-        raise specfn.BudgetError(
-            f"{family.value} sweep at grid {grid} has {points} points, over the cap of {MESH_CAP}"
-        )
     import numpy as np
 
-    betas = [0.5 * i / (grid - 1) for i in range(grid)]
     rates = [bsc_bc_rate_region(ch, beta) for beta in betas]
-    beta = np.array(betas)
-    r1 = np.array([r.r1 for r in rates])
-    r2 = np.array([r.r2 for r in rates])
-    if family == Scheme.BROADCAST:
-        rho = np.zeros(grid)
-    else:
-        rhos = np.array([RHO_MAX * j / (grid - 1) for j in range(grid)])
-        beta, r1, r2 = (np.repeat(a, grid) for a in (beta, r1, r2))
-        rho = np.tile(rhos, grid)
-    b, p = ch.b, ch.p
-    # rho <= RHO_MAX < 1 throughout, so _evaluate_layered's rho = 1 branch never applies
-    d2 = specfn.bss_distortion_rate_array((b - rho) * r2)
-    # As in _evaluate_layered, the refinement term is exactly 0 where r1 = 0.  A b
-    # near the float maximum overflows the rate to inf, which is lossless, as
-    # Python float arithmetic does without a warning.
-    with np.errstate(over="ignore"):
-        refine = np.multiply((b - rho) / (1.0 - rho), r1, out=np.zeros_like(r1), where=r1 != 0.0)
-        rate1 = refine + (b - rho) * r2
-    d1 = specfn.bss_distortion_rate_array(rate1)
-    big_d1 = (1.0 - rho) * d1 + rho * np.minimum(d2, ch.alpha1)
-    big_d2 = (1.0 - rho) * d2 + rho * np.minimum(d2, ch.alpha2)
-    kt = (b - rho) * (r1 + r2) + rho
-    kr = (b - rho) * ((1.0 - p) * r1 + r2)
+    columns = (betas, [r.r1 for r in rates], [r.r2 for r in rates])
+    beta, r1, r2 = np.array(columns, dtype=float).repeat(len(rhos), axis=1)
+    rho = np.tile(np.array(rhos, dtype=float), len(betas))
+    room, keep, p = ch.b - rho, 1.0 - rho, ch.p
+    # The refinement term is exactly 0 where r1 = 0.  A b near the float maximum
+    # overflows the rate to inf, which is lossless.  At rho = 1 the refinement
+    # carries no source (weighted out by keep = 0): its rate is inf, where
+    # room/keep would divide by zero, and be 0/0 at b = 1.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        refine = np.where(r1 != 0.0, room / keep * r1, 0.0)
+        rate1 = np.where(keep > 0.0, refine + room * r2, np.inf)
+    d = specfn.bss_distortion_rate_array(np.concatenate((room * r2, rate1)))
+    d2, d1 = d[: rho.size], d[rho.size :]
+    big_d1 = keep * d1 + rho * np.minimum(d2, ch.alpha1)
+    big_d2 = keep * d2 + rho * np.minimum(d2, ch.alpha2)
+    kt = room * (r1 + r2) + rho
+    kr = room * ((1.0 - p) * r1 + r2)
+    # uncoded residue is forwarded in state i only when it beats the base layer
     kr = np.where(d2 > ch.alpha2, kr + rho, np.where(d2 > ch.alpha1, kr + (1.0 - p) * rho, kr))
     expected = (1.0 - p) * big_d1 + p * big_d2
     # the SchemeEvaluation invariants, checked for the whole mesh
@@ -447,8 +362,70 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
         )
     if (kt < 0.0).any() or (kr < 0.0).any():
         raise AssertionError(f"negative interface complexity for {family}")
-    names = ("beta",) if family == Scheme.BROADCAST else ("beta", "rho")
+    names = ("beta", "rho") if family == Scheme.RESIDUE_SPLITTING else ("beta",)
     return LayeredSweep(family, beta, rho, big_d1, big_d2, expected, kt, kr, names)
+
+
+def _layered_point(ch: CompositeBsc, family: Scheme, beta: float, rho: float) -> SchemeEvaluation:
+    """The one-point mesh of a layered family, as a SchemeEvaluation."""
+    s = _layered_mesh(ch, family, [beta], [rho])
+    fields = (c.item() for c in (s.d1, s.d2, s.expected, s.kt, s.kr))
+    return SchemeEvaluation(family, dict(zip(s.names, (beta, rho))), *fields)
+
+
+# the single-rate (Shannon) and outage-only codes: broadcast at these betas
+_BROADCAST_ENDPOINTS = {Scheme.SHANNON: 0.0, Scheme.OUTAGE: 0.5}
+
+
+def broadcast_scheme(ch: CompositeBsc, beta: float) -> SchemeEvaluation:
+    """Superposition broadcast code with a two-layer refinable source code.
+
+    d1 = D(b*(r1+r2)), d2 = D(b*r2); kt = b*(r1+r2),
+    kr = b*((1-p)*r1 + r2).
+    """
+    return _layered_point(ch, Scheme.BROADCAST, beta, 0.0)
+
+
+def shannon_scheme(ch: CompositeBsc) -> SchemeEvaluation:
+    """Single-rate code serving both states: broadcast at beta = 0."""
+    return _layered_point(ch, Scheme.SHANNON, _BROADCAST_ENDPOINTS[Scheme.SHANNON], 0.0)
+
+
+def outage_scheme(ch: CompositeBsc) -> SchemeEvaluation:
+    """Good-state-only code, bad state written off: broadcast at beta = 1/2."""
+    return _layered_point(ch, Scheme.OUTAGE, _BROADCAST_ENDPOINTS[Scheme.OUTAGE], 0.0)
+
+
+def residue_splitting_scheme(ch: CompositeBsc, beta: float, rho: float) -> SchemeEvaluation:
+    """Broadcast layering with a rho fraction of residue sent uncoded.
+
+    rho = 0 reproduces broadcast_scheme(beta) field for field; rho = 1 is the
+    all-uncoded limit where only the base quantizer and the uncoded residue
+    matter.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    return _layered_point(ch, Scheme.RESIDUE_SPLITTING, beta, rho)
+
+
+def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
+    """Broadcast or residue splitting on the uniform grid of its sweep.
+
+    Broadcast takes ``grid`` values of beta in [0, 1/2]; residue splitting
+    the beta-major grid x grid mesh of beta and rho in [0, RHO_MAX].
+    """
+    if family not in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
+        raise ValueError(f"{family} is not a layered family")
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
+    points = grid if family == Scheme.BROADCAST else grid * grid
+    if points > MESH_CAP:
+        raise specfn.BudgetError(
+            f"{family.value} sweep at grid {grid} has {points} points, over the cap of {MESH_CAP}"
+        )
+    betas = [0.5 * i / (grid - 1) for i in range(grid)]
+    rhos = [0.0] if family == Scheme.BROADCAST else [RHO_MAX * j / (grid - 1) for j in range(grid)]
+    return _layered_mesh(ch, family, betas, rhos)
 
 
 def hull_dominates_array(
@@ -545,11 +522,13 @@ def sweep_family(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
     """Any scheme family as a ``LayeredSweep``: the one registry of families.
 
     Broadcast and residue splitting are swept on ``grid`` by ``sweep_layered``;
-    each other family is the one-point sweep of its scalar evaluator.
+    Shannon and outage are the one-point meshes of broadcast at beta = 0 and
+    beta = 1/2.  The two systematic families, which are not layered, are the
+    one-point sweeps of their evaluators.
     """
+    if family in _BROADCAST_ENDPOINTS:
+        return _layered_mesh(ch, family, [_BROADCAST_ENDPOINTS[family]], [0.0])
     evaluate = {
-        Scheme.SHANNON: shannon_scheme,
-        Scheme.OUTAGE: outage_scheme,
         Scheme.SYSTEMATIC_GOOD: systematic_scheme_good,
         Scheme.SYSTEMATIC_BAD: systematic_scheme_bad,
     }.get(family)
@@ -558,10 +537,8 @@ def sweep_family(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
     import numpy as np
 
     e = evaluate(ch)
-    names = tuple(n for n in ("beta", "rho") if n in e.params)
-    coordinates = (e.params.get("beta", math.nan), e.params.get("rho", math.nan))
-    columns = (np.array([v]) for v in (*coordinates, e.d1, e.d2, e.expected, e.kt, e.kr))
-    return LayeredSweep(family, *columns, names)
+    columns = (np.array([v]) for v in (math.nan, math.nan, e.d1, e.d2, e.expected, e.kt, e.kr))
+    return LayeredSweep(family, *columns, ())
 
 
 def sweep_families(

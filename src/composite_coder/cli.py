@@ -33,7 +33,8 @@ cell once), so rendering holds at most about 3x the output size in memory.
 
 Exit codes: 0 success, 1 self-check failure, 2 configuration error,
 3 numeric error, 4 work budget error (Monte Carlo, analytic sweep or
---p-grid length).  Warnings print as one ``warning: ...`` line each on stderr.
+--p-grid length), 141 standard output closed early (``| head``).
+Warnings print as one ``warning: ...`` line each on stderr.
 
 Importing this module does not import numpy: the ``bss-*`` commands load it
 through the array core of ``bss_system``, and ``mc`` with ``montecarlo``.
@@ -45,6 +46,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -59,6 +61,7 @@ EXIT_SELFCHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: the shell's status for a process a closed pipe killed
 
 SWEEP_CAP = 2**20  # --p-grid points: the row count of a grid-1025 region
 
@@ -565,12 +568,13 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
         worst = max(worst, abs(lhs - bss_system._g_prime(curve.dc, alpha)))
     check("wyner-ziv-turning-identity", worst <= 1e-8, f"max residual = {worst:.2e}")
 
+    # the rho = 0 column of a residue-splitting mesh against broadcast on its beta grid
     ch = channels.CompositeBsc(0.25, 0.45, 0.5, 2.0)
-    pairs = [
-        (bss_system.residue_splitting_scheme(ch, beta, 0.0), bss_system.broadcast_scheme(ch, beta))
-        for beta in (0.0, 0.1, 0.25, 0.5)
-    ]
-    same = all((rs.d1, rs.kt) == (bc.d1, bc.kt) for rs, bc in pairs)
+    grid = 5
+    rs = bss_system.sweep_layered(ch, Scheme.RESIDUE_SPLITTING, grid)
+    bc = bss_system.sweep_layered(ch, Scheme.BROADCAST, grid)
+    fields = ("beta", "rho", "d1", "d2", "expected", "kt", "kr")
+    same = all(getattr(rs, f)[::grid].tolist() == getattr(bc, f).tolist() for f in fields)
     check("residue-rho0-is-broadcast", same, "field equality at rho = 0")
 
     pts = [(0.1, 0.4), (0.4, 0.1), (0.4, 0.4), (0.2, 0.35)]
@@ -791,8 +795,17 @@ def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve_config(args)
         if cfg.command == "selfcheck":
-            return run_selfcheck()
-        _emit(_COMMANDS[cfg.command](cfg), cfg)
+            code = run_selfcheck()
+        else:
+            code = EXIT_OK
+            _emit(_COMMANDS[cfg.command](cfg), cfg)
+        sys.stdout.flush()  # a reader that closed early is met here, not at exit
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again: it goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -802,7 +815,7 @@ def _run(args: argparse.Namespace) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

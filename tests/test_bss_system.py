@@ -6,13 +6,13 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from composite_coder import bss_system as bss
 from composite_coder import specfn
-from composite_coder.bss_system import Scheme
-from composite_coder.channels import CompositeBsc
+from composite_coder.bss_system import Scheme, SchemeEvaluation
+from composite_coder.channels import CompositeBsc, bsc_bc_rate_region
 
 CH = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.5, b=2.0)
 
@@ -49,6 +49,39 @@ def _turning_point_oracle(alpha):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _evaluate_layered(ch, beta, rho, scheme):
+    """Scalar oracle of the layered families: broadcast (rho = 0) and residue splitting.
+
+    With rho of the source symbols' channel budget reserved for uncoded
+    residue transmission, the primary channel has bandwidth ratio (b - rho):
+    base layer at rate (b-rho)*r2, refinement at ((b-rho)/(1-rho))*r1 over
+    the first (1-rho) fraction of the source.  Python float arithmetic, one
+    point at a time, inverting each rate with the scalar
+    ``specfn.bss_distortion_rate``.
+    """
+    rates = bsc_bc_rate_region(ch, beta)
+    b = ch.b
+    d2 = specfn.bss_distortion_rate((b - rho) * rates.r2)
+    if rho < 1.0:
+        # at beta = 0 the refinement term is exactly 0, also where its factor overflows
+        refine = (b - rho) / (1.0 - rho) * rates.r1 if rates.r1 != 0.0 else 0.0
+        d1 = specfn.bss_distortion_rate(refine + (b - rho) * rates.r2)
+    else:
+        d1 = 0.0  # weighted out below
+    big_d1 = (1.0 - rho) * d1 + rho * min(d2, ch.alpha1)
+    big_d2 = (1.0 - rho) * d2 + rho * min(d2, ch.alpha2)
+    kt = (b - rho) * (rates.r1 + rates.r2) + rho
+    kr = (b - rho) * ((1.0 - ch.p) * rates.r1 + rates.r2)
+    # uncoded residue is forwarded in state i only when it beats the base layer
+    if d2 > ch.alpha2:
+        kr += rho
+    elif d2 > ch.alpha1:
+        kr += (1.0 - ch.p) * rho
+    params = {"beta": beta, "rho": rho} if scheme == Scheme.RESIDUE_SPLITTING else {"beta": beta}
+    expected = (1.0 - ch.p) * big_d1 + ch.p * big_d2
+    return SchemeEvaluation(scheme, params, big_d1, big_d2, expected, kt, kr)
 
 
 class TestWynerZivCurve:
@@ -272,7 +305,7 @@ class TestResidueSplitting:
     def test_rho_zero_equals_broadcast_exactly(self):
         for beta in (0.0, 0.1, 0.25, 0.4, 0.5):
             a = bss.residue_splitting_scheme(CH, beta, 0.0)
-            b = bss.broadcast_scheme(CH, beta)
+            b = _evaluate_layered(CH, beta, 0.0, Scheme.BROADCAST)
             assert (a.d1, a.d2, a.expected, a.kt, a.kr) == (b.d1, b.d2, b.expected, b.kt, b.kr)
 
     def test_all_uncoded_limit(self):
@@ -482,10 +515,7 @@ class TestArrayCore:
     @pytest.mark.parametrize("point", _ARRAY_POINTS + [_LOSSLESS_POINT])
     def test_mesh_equals_scalar_evaluators_exactly(self, point):
         ch = _channel(*point)
-        for family, scalar in (
-            (Scheme.BROADCAST, lambda be, ro: bss.broadcast_scheme(ch, be)),
-            (Scheme.RESIDUE_SPLITTING, lambda be, ro: bss.residue_splitting_scheme(ch, be, ro)),
-        ):
+        for family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
             sweep = bss.sweep_layered(ch, family, 33)
             columns = [
                 c.tolist()
@@ -493,7 +523,33 @@ class TestArrayCore:
             ]
             assert len(columns[0]) == (33 if family == Scheme.BROADCAST else 33 * 33)
             for beta, rho, *fields in zip(*columns):
-                assert tuple(fields) == _fields(scalar(beta, rho)), (family, beta, rho)
+                oracle = _evaluate_layered(ch, beta, rho, family)
+                assert tuple(fields) == _fields(oracle), (family, beta, rho)
+
+    @given(
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 1e300),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 1.0),
+    )
+    @example(0.25, 0.45, 0.5, 2.0, 0.1, 1.0)  # rho = 1: the refinement is weighted out
+    @example(0.25, 0.45, 0.5, 1.0, 0.1, 1.0)  # b = rho = 1: its rate factor would be 0/0
+    @example(0.25, 0.45, 0.5, 1.0, 0.3, 0.5)  # b = 1
+    @settings(max_examples=200, deadline=None)
+    def test_one_point_core_equals_oracle(self, a, c, p, b, beta, rho):
+        alpha1, alpha2 = sorted((a, c))
+        assume(alpha1 < alpha2)
+        ch = _channel(alpha1, alpha2, b, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e, (r, family) in (
+                (bss.broadcast_scheme(ch, beta), (0.0, Scheme.BROADCAST)),
+                (bss.residue_splitting_scheme(ch, beta, rho), (rho, Scheme.RESIDUE_SPLITTING)),
+            ):
+                oracle = _evaluate_layered(ch, beta, r, family)
+                assert (e.scheme, _fields(e), e.params) == (family, _fields(oracle), oracle.params)
 
     def test_lossless_point_reaches_zero_distortion(self):
         sweep = bss.sweep_layered(_channel(*_LOSSLESS_POINT), Scheme.RESIDUE_SPLITTING, 17)
@@ -583,9 +639,11 @@ class TestArrayCore:
 
 
 _THETA_POINT = (0.2, 0.3, 2.0)  # systematic_bad time-shares past the turning point
+# the one-point families: the broadcast endpoints by the oracle, the systematic
+# families by their evaluators
 _POINT_EVALUATORS = {
-    Scheme.SHANNON: bss.shannon_scheme,
-    Scheme.OUTAGE: bss.outage_scheme,
+    Scheme.SHANNON: lambda ch: _evaluate_layered(ch, 0.0, 0.0, Scheme.SHANNON),
+    Scheme.OUTAGE: lambda ch: _evaluate_layered(ch, 0.5, 0.0, Scheme.OUTAGE),
     Scheme.SYSTEMATIC_GOOD: bss.systematic_scheme_good,
     Scheme.SYSTEMATIC_BAD: bss.systematic_scheme_bad,
 }
@@ -601,11 +659,9 @@ def _param_columns(sweep):
 
 
 def _scalar_evaluation(ch, family, beta, rho):
-    """The scalar evaluator of ``family`` at the sweep point (beta, rho)."""
-    if family == Scheme.BROADCAST:
-        return bss.broadcast_scheme(ch, beta)
-    if family == Scheme.RESIDUE_SPLITTING:
-        return bss.residue_splitting_scheme(ch, beta, rho)
+    """The oracle or evaluator of ``family`` at the sweep point (beta, rho)."""
+    if family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
+        return _evaluate_layered(ch, beta, rho, family)
     return _POINT_EVALUATORS[family](ch)
 
 
@@ -620,6 +676,9 @@ class TestRegistry:
             assert sweep.scheme == family
             assert tuple(c.tolist() for c in columns) == tuple([v] for v in _fields(e))
             assert _param_columns(sweep) == ([e.params.get("beta")], [None])
+        for scalar, family in ((bss.shannon_scheme, Scheme.SHANNON), (bss.outage_scheme, Scheme.OUTAGE)):
+            e, oracle = scalar(ch), _POINT_EVALUATORS[family](ch)
+            assert (_fields(e), e.params) == (_fields(oracle), oracle.params)
 
     @pytest.mark.parametrize("family", list(Scheme))
     def test_region_and_best_accept_every_family(self, family):
@@ -694,19 +753,18 @@ class TestRangeEdges:
     def test_huge_b_is_finite_and_array_equals_scalar(self):
         np = pytest.importorskip("numpy")
         ch = _channel(0.25, 0.45, sys.float_info.max, p=0.5)
-        e = bss.residue_splitting_scheme(ch, 0.0, 0.5)
-        assert all(math.isfinite(v) for v in _fields(e))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for family, scalar in (
-                (Scheme.BROADCAST, lambda be, ro: bss.broadcast_scheme(ch, be)),
-                (Scheme.RESIDUE_SPLITTING, lambda be, ro: bss.residue_splitting_scheme(ch, be, ro)),
-            ):
+            e = bss.residue_splitting_scheme(ch, 0.0, 0.5)
+            assert all(math.isfinite(v) for v in _fields(e))
+            assert _fields(e) == _fields(_evaluate_layered(ch, 0.0, 0.5, Scheme.RESIDUE_SPLITTING))
+            for family in (Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING):
                 sweep = bss.sweep_layered(ch, family, 9)
                 columns = (sweep.d1, sweep.d2, sweep.expected, sweep.kt, sweep.kr)
                 assert all(np.isfinite(c).all() for c in columns)
                 for i, (beta, rho) in enumerate(zip(sweep.beta.tolist(), sweep.rho.tolist())):
-                    assert tuple(c[i].item() for c in columns) == _fields(scalar(beta, rho))
+                    oracle = _evaluate_layered(ch, beta, rho, family)
+                    assert tuple(c[i].item() for c in columns) == _fields(oracle)
 
     @pytest.mark.parametrize(
         "alpha",

@@ -584,6 +584,34 @@ class TestBenchArgv:
             assert code == want, argv
 
 
+spans = _load_bench("spans")
+
+
+class TestBenchTracer:
+    def test_traced_names_resolve(self):
+        # a renamed evaluator would leave the tracer's per-layer counts silently at 0
+        for name in (*spans.SCHEME_EVALUATORS, "bss_system.bsc_bc_rate_region"):
+            module, attr = name.split(".")
+            assert callable(getattr(importlib.import_module(f"composite_coder.{module}"), attr)), name
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_without_traceback(self):
+        src = str(Path(composite_coder.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "composite_coder.cli", "bss-region", "--grid", "129"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # the table is about 1 MB, far over a pipe buffer: the writer meets the closed end
+        assert proc.stdout.readline().startswith(b"#")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.EXIT_PIPE
+        assert "Traceback" not in err.decode() and "Exception ignored" not in err.decode(), err
+
+
 class TestImports:
     @pytest.mark.parametrize(
         "module", ["", ".bss_system", ".channels", ".gaussian_system", ".montecarlo", ".specfn"]
