@@ -431,13 +431,23 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
 def hull_dominates_array(
     hull: Sequence[tuple[float, float]], x: Sequence[float], y: Sequence[float], slack: float = 0.0
 ) -> np.ndarray:
-    """``specfn.hull_dominates`` of every point (x[i], y[i]), with the same arithmetic."""
+    """``specfn.hull_dominates`` of every point (x[i], y[i]), with a relative slack.
+
+    Each coordinate v is moved by slack * |v| plus one least subnormal on the
+    slack's side, so the slack scales with the distortions; a zero slack
+    leaves the point as it is.  The comparison is then
+    ``specfn.hull_dominates`` of the moved point at zero slack, with the same
+    arithmetic.
+    """
     import numpy as np
 
     xs = np.array([v[0] for v in hull])
     ys = np.array([v[1] for v in hull])
-    reach = np.asarray(x) + slack
-    bound = np.asarray(y) + slack
+    reach, bound = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if slack:
+        tiny = math.copysign(5e-324, slack)
+        reach = reach + (slack * np.abs(reach) + tiny)
+        bound = bound + (slack * np.abs(bound) + tiny)
     k = np.searchsorted(xs, reach, side="right")
     out = np.where(k == len(xs), ys[-1] <= bound, False)
     seg = np.flatnonzero((k > 0) & (k < len(xs)))

@@ -357,7 +357,7 @@ def cmd_bss_region(cfg: RunConfig) -> FigureTable:
     hull = sweeps[Scheme.RESIDUE_SPLITTING].hull()
     blocks: list[Block] = []
     for sweep in sweeps.values():
-        # a point is on the hull when the hull dominates it within 1e-9 but not by 1e-9
+        # a point is on the hull when the hull dominates it within 1e-9 relative but not by it
         near = bss_system.hull_dominates_array(hull, sweep.d1, sweep.d2, slack=1e-9)
         strictly = bss_system.hull_dominates_array(hull, sweep.d1, sweep.d2, slack=-1e-9)
         on_hull = (near & ~strictly).astype(int).tolist()

@@ -16,10 +16,9 @@ depends only on a = power*gamma_bar.  Every broadcast quantity is evaluated
 through these closed forms; tests check them against quadrature of the
 defining integrals and against a high-precision oracle.
 
-The threshold root is found by bisection.  A Newton estimate picks the
-bisection node that holds the root, a rounding-error bound certifies it,
-and the bisection starts there; it makes the same decisions as from the
-start, so it returns the same bits in about a quarter of the evaluations.
+The threshold root is found by Newton's method in ln x, within a few ulps
+in about four evaluations; bisection is kept for a outside [2^-47, 2^1000],
+where Newton is not reliable.
 """
 
 from __future__ import annotations
@@ -50,14 +49,8 @@ _E1_HALF = specfn.exp_integral(0.5)
 _EXP_HALF = math.exp(-0.5)
 # gamma_bar * I(x * gamma_bar) = (C - ln x) / x + O(1) as x -> 0+
 _SEED_C = _EXP_HALF - 1.0 - _E1_HALF - specfn.EULER_GAMMA + math.log(2.0)
-# bound on the rounding error of _scaled_interference(x) in units of
-# (1 - ln x) / x: 8 eps, where the worst seen against mpmath is 1.9 eps
-_GUARD = 8.0 * 2.0**-52
-# the depths at which a warm start is tried, and the range of a it is tried
-# on: near its lower end 2 G(1) = 16 eps rivals a, above it the stage-1
-# point might overflow
-_WARM_DEPTHS = (40, 30)
-_WARM_MIN, _WARM_MAX = 2.0**-47, 2.0**1000
+# the range of a on which the threshold is found by Newton
+_NEWTON_MIN, _NEWTON_MAX = 2.0**-47, 2.0**1000
 # below this a, bc_expected_distortion's closed form may cancel to sigma2
 _CANCELLING_SNR = 2.0**-40
 _EXP_M1 = math.exp(-1.0)
@@ -180,84 +173,57 @@ def bc_interference(sys: RayleighSystem, gamma: float) -> float:
 
 
 def _newton_ratio(a: float) -> float:
-    """Newton's estimate of the threshold ratio for a; outside (0, 1) if it fails.
+    """The threshold ratio for a by Newton in ln x; outside (0, 1) if it fails.
 
     The seed is the root of the surrogate (1 - x) * k(x) = a * x with
     k(x) = C + (1/2 - C) * sqrt(x) - ln x, which has the interference's
     limits at 0+ and 1-; a few fixed-point steps find it to a few percent.
     Newton then runs in ln x, using f'(x) = -(1/x - 1/2) * (1/x + f(x)), so
-    no evaluation beyond f itself is needed.
+    no evaluation beyond f itself is needed.  It stops after a step below
+    2e-16, or before a step that is no smaller than the last one, which is
+    rounding noise; 0 means it left (0, 1) or did not stop in 12 steps.
     """
     x = 1.0 / (1.0 + 2.0 * a)
     for _ in range(4):
         x = 1.0 / (1.0 + a / (_SEED_C + (0.5 - _SEED_C) * math.sqrt(x) - math.log(x)))
-    for _ in range(8):
+    last = math.inf
+    for _ in range(12):
         level = _scaled_interference(x) if 0.0 < x < 1.0 else 0.0
         if not level > 0.0:
             return 0.0
         step = math.log(level / a) * level / ((1.0 - 0.5 * x) * (1.0 / x + level))
+        if not abs(step) < last:
+            return x
         x *= math.exp(step)
-        if abs(step) < 1e-8:
-            break
-    return x
-
-
-def _guard(x: float) -> float:
-    """A bound on the rounding error of ``_scaled_interference(x)``."""
-    return _GUARD * (1.0 - math.log(x)) / x
-
-
-def _certified_node(a: float) -> tuple[float, float] | None:
-    """The bisection node of ``_threshold_ratio`` that holds Newton's estimate.
-
-    The node is [lo, hi] at depth 40, else 30, inside the stage-1 bracket
-    [lo0, 2 lo0] with lo0 the power of two at or below the estimate; the
-    loop's stop test first holds near depth 50, so no stop is skipped.  The
-    node is returned only if every comparison the loop would make on its way
-    there is certain: with f the computed interference and G = ``_guard``
-    the bound on its rounding error, f - G and f + G both decrease, so
-    f(lo) - 2 G(lo) >= a and f(hi) + 2 G(hi) < a decide every point at or
-    below lo and at or above hi the same way.  None means no certified node.
-    """
-    if not _WARM_MIN <= a <= _WARM_MAX:
-        return None
-    x = _newton_ratio(a)
-    if not 0.0 < x < 1.0:
-        return None
-    lo0 = math.ldexp(0.5, math.frexp(x)[1])
-    for depth in _WARM_DEPTHS:
-        width = math.ldexp(lo0, -depth)
-        lo = lo0 + math.floor((x - lo0) / width) * width
-        hi = lo + width
-        if (_scaled_interference(lo) - 2.0 * _guard(lo) >= a
-                and _scaled_interference(hi) + 2.0 * _guard(hi) < a):
-            return lo, hi
-    return None
+        if abs(step) < 2e-16:
+            return x
+        last = abs(step)
+    return 0.0
 
 
 def _threshold_ratio(a: float) -> float:
-    """The x in (0, 1) with gamma_bar * I(x * gamma_bar) = a, by bisection.
+    """The x in (0, 1) with gamma_bar * I(x * gamma_bar) = a.
 
-    The halving loop starts at the node that ``_certified_node`` certifies,
-    where it makes the same decisions as from depth 0; this saves about 40
-    of its 52 to 65 evaluations.  Without a certificate it starts at depth
-    0: the lower end is halved down from 1/2 until it straddles the root,
-    and if the interference overflows first, a is out of range.  Either way
-    the bracket is then bisected to a relative width of 4.5e-16 (about two
-    ulps; a tighter relative stop can never be met) or until the midpoint
-    repeats an endpoint, so the result is the same bits.
+    On [_NEWTON_MIN, _NEWTON_MAX] this is ``_newton_ratio``.  Below that
+    range the interference's rounding error rivals a, above it the
+    interference nears overflow, so there, and wherever Newton fails, the
+    root is bisected instead: the lower end is halved down from 1/2 until it
+    straddles the root, and if the interference overflows first, a is out of
+    range; the bracket is then bisected to a relative width of 4.5e-16
+    (about two ulps; a tighter relative stop can never be met) or until the
+    midpoint repeats an endpoint.
     """
-    node = _certified_node(a)
-    if node is None:
-        lo, hi = 0.5, 1.0
-        while (level := _scaled_interference(lo)) < a:
-            hi, lo = lo, 0.5 * lo
-        if math.isinf(level):
-            raise NoSolutionError(
-                f"power*gamma_bar {a} exceeds the representable interference range"
-            )
-    else:
-        lo, hi = node
+    if _NEWTON_MIN <= a <= _NEWTON_MAX:
+        x = _newton_ratio(a)
+        if 0.0 < x < 1.0:
+            return x
+    lo, hi = 0.5, 1.0
+    while (level := _scaled_interference(lo)) < a:
+        hi, lo = lo, 0.5 * lo
+    if math.isinf(level):
+        raise NoSolutionError(
+            f"power*gamma_bar {a} exceeds the representable interference range"
+        )
     while hi - lo > 4.5e-16 * hi:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -1,12 +1,14 @@
-"""50-digit mpmath oracles for the BSC inverses, seeded from the float results.
+"""mpmath oracles for the BSC inverses and the Gaussian power threshold.
 
 Each solves its equation by Newton's method in mpmath from the package's own
 float answer, which lies within a few ulps of the root, so a handful of
-50-digit steps reach it; a seed that is far off fails to converge and raises.
-The equations are the definitions: h(p) = 1 - rate (in u = 1 - 2p below rate
-1/2, where 1 - rate is not exact in 50 digits), g(d) = h(alpha conv d) - h(d)
-and its tangent through (alpha, 0).  Tests load this module with
-``pytest.importorskip("mp_oracle")``, so they skip where mpmath is missing.
+high-precision steps reach it; a seed that is far off fails to converge and
+raises.  The BSC equations are the definitions at 50 digits: h(p) = 1 - rate
+(in u = 1 - 2p below rate 1/2, where 1 - rate is not exact in 50 digits),
+g(d) = h(alpha conv d) - h(d) and its tangent through (alpha, 0).  The
+threshold is the root of gamma_bar * I(x * gamma_bar) = a at 45 digits.
+Tests load this module with ``pytest.importorskip("mp_oracle")``, so they
+skip where mpmath is missing.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import mpmath
 
 DPS = 50
+THRESHOLD_DPS = 45
 
 
 def _newton(f, slope, x):
@@ -83,6 +86,32 @@ def wyner_ziv_distortion(r, alpha, seed, dc_seed):
         if r <= g_dc:
             return a - r * (a - dc) / g_dc
         return _newton(lambda d: _g(d, a) - r, lambda d: _g_prime(d, a), mpmath.mpf(seed))
+
+
+def broadcast_threshold(a, seed):
+    """(x, De / sigma2) at a = power * gamma_bar, with x = gamma_P / gamma_bar.
+
+    x solves f(x) = a with f(x) = (int_1^x (1/2 - 1/t) exp(-t/2) dt) /
+    (x exp(-x/2)), by Newton in ln x using d ln f / d ln x =
+    -(1 - x/2)(1/x + f) / f.  The stop is on the step in ln x, which is x's
+    relative change: ln x itself nears 0 with a.  De / sigma2 is
+    D(x) + 1 - exp(-x), as in ``bc_expected_distortion``.
+    """
+    with mpmath.workdps(THRESHOLD_DPS):
+        a, half = mpmath.mpf(a), mpmath.mpf(1) / 2
+        x = mpmath.mpf(seed)
+        for _ in range(40):
+            num = (mpmath.exp(-half) - mpmath.exp(-x / 2)) - (mpmath.e1(half) - mpmath.e1(x / 2))
+            level = num / (x * mpmath.exp(-x / 2))
+            step = mpmath.log(level / a) * level / ((1 - x / 2) * (1 / x + level))
+            x *= mpmath.exp(step)
+            if abs(step) <= mpmath.mpf(10) ** (5 - THRESHOLD_DPS):
+                break
+        else:
+            raise AssertionError(f"oracle Newton did not settle from {seed} at a = {a}")
+        tail = mpmath.exp(-half) * (mpmath.e1(half) - mpmath.e1(x / 2))
+        de = (mpmath.exp(-1) - tail) * x * mpmath.exp(-(x - 1) / 2) - mpmath.expm1(-x)
+        return x, de
 
 
 def entropy(p):

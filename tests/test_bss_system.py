@@ -630,9 +630,12 @@ class TestArrayCore:
         x = np.concatenate([sweep.d1, rng.random(500) * 0.6 - 0.05, [hull[0][0], hull[-1][0]]])
         y = np.concatenate([sweep.d2, rng.random(500) * 0.6 - 0.05, [hull[0][1], hull[-1][1]]])
         for slack in (0.0, 1e-9, -1e-9):
+            # the relative slack moves each coordinate, then compares at zero slack
+            pad = math.copysign(5e-324, slack) if slack else 0.0
+            moved = [(px + (slack * abs(px) + pad), py + (slack * abs(py) + pad))
+                     for px, py in zip(x.tolist(), y.tolist())]
             got = bss.hull_dominates_array(hull, x, y, slack).tolist()
-            want = [specfn.hull_dominates(hull, p, slack) for p in zip(x.tolist(), y.tolist())]
-            assert got == want
+            assert got == [specfn.hull_dominates(hull, p) for p in moved]
         single = [hull[0]]
         got = bss.hull_dominates_array(single, x, y).tolist()
         assert got == [specfn.hull_dominates(single, p) for p in zip(x.tolist(), y.tolist())]

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import composite_coder
-from composite_coder import cli, specfn
+from composite_coder import bss_system, channels, cli, specfn
 
 
 def run_cli(args, capsys):
@@ -663,6 +663,28 @@ class TestBssRegion:
         assert by_scheme["outage"][0][5] == "1"
         assert by_scheme["systematic_good"][0][5] == "0"
         assert by_scheme["systematic_bad"][0][5] == "0"
+
+    @pytest.mark.parametrize("alpha1, alpha2, b", [("1e-9", "1e-8", "1"), ("1e-11", "1e-10", "1"),
+                                                   ("1e-11", "1e-10", "2")])
+    def test_no_flagged_row_is_dominated_at_tiny_alpha(self, alpha1, alpha2, b, capsys):
+        # a flagged row is wrong when a residue-splitting row beats it by 1e-6
+        # relative in D1 and by 1e-3 in D2; an absolute 1e-9 slack flagged 26,
+        # 32 and 236 such rows here.  Every hull vertex stays flagged.
+        argv = ["bss-region", "--grid", "17", "--alpha1", alpha1, "--alpha2", alpha2, "--b", b]
+        _, out, _ = run_cli(argv, capsys)
+        _, _, rows = parse_csv(out)
+        residue = np.array([[float(r[3]), float(r[4])] for r in rows if r[0] == "residue_splitting"])
+        flagged = np.array([[float(r[3]), float(r[4])] for r in rows if r[5] == "1"])
+        beaten = ((residue[None, :, 0] < flagged[:, None, 0] * (1.0 - 1e-6))
+                  & (residue[None, :, 1] < flagged[:, None, 1] * (1.0 - 1e-3)))
+        assert not beaten.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # b = 2 is lossless in the good state
+            ch = channels.CompositeBsc(alpha1=float(alpha1), alpha2=float(alpha2), p=0.5, b=float(b))
+            hull = bss_system.sweep_layered(ch, bss_system.Scheme.RESIDUE_SPLITTING, 17).hull()
+        assert {(f"{x:.12g}", f"{y:.12g}") for x, y in hull} <= {
+            (r[3], r[4]) for r in rows if r[5] == "1"
+        }
 
     def test_rho_zero_rows_match_broadcast(self, capsys):
         _, out, _ = run_cli(["bss-region", "--grid", "9"], capsys)
