@@ -533,9 +533,9 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     for a in (0.5, 1.0, 2.0, 5.0):
         sys_ = channels.RayleighSystem(1.0, a, 1.0)
         closed, _ = gaussian_system.optimal_outage_for_distortion(sys_)
-        numeric, _ = specfn.minimize_scalar(
+        numeric, _ = specfn.golden_section(
             lambda q: gaussian_system.outage_separation_distortion(sys_, q), 1e-9, 1.0 - 1e-9,
-            tol=1e-9, grid=4096,
+            tol=1e-9,
         )
         worst = max(worst, abs(closed - numeric))
     check("outage-for-distortion-agreement", worst <= 1e-6, f"max |closed-numeric| = {worst:.2e}")
@@ -544,9 +544,8 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     for a in (0.5, 1.0, 2.0, 5.0):
         sys_ = channels.RayleighSystem(1.0, a, 1.0)
         closed = channels.optimal_outage_for_capacity(sys_)
-        numeric, _ = specfn.minimize_scalar(
-            lambda q: -channels.outage_capacity_rayleigh(sys_, q), 1e-9, 1.0 - 1e-9,
-            tol=1e-9, grid=4096,
+        numeric, _ = specfn.golden_section(
+            lambda q: -channels.outage_capacity_rayleigh(sys_, q), 1e-9, 1.0 - 1e-9, tol=1e-9
         )
         worst = max(worst, abs(closed - numeric))
     check("outage-for-capacity-agreement", worst <= 1e-6, f"max |closed-numeric| = {worst:.2e}")

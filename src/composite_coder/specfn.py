@@ -40,6 +40,7 @@ __all__ = [
     "scaled_exp_integral",
     "lambert_w",
     "find_root",
+    "golden_section",
     "minimize_scalar",
     "integrate",
     "pareto_lower_hull",
@@ -63,6 +64,18 @@ _INVERSION_CHUNK = 2**16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+_HALF_PI = 0.5 * math.pi
+# integrate's trapezoidal sums run over |t| <= _DE_T_MAX.  Past it a tanh-sinh
+# node is within 1e-37 d of its endpoint, where even an x^(-1/2) singularity
+# at 0 adds terms below 1e-16 of the integral, and an exp-sinh node is beyond
+# a + e^42 or within e^-42 of a.
+_DE_T_MAX = 4.0
+# halvings of the step from 1 before ConvergenceError, after which the sum
+# holds 2^(_DE_LEVELS + 3) + 1 nodes; the package's integrands settle within 5
+_DE_LEVELS = 8
+# successive sums this close, relative, agree to rounding
+_DE_REL_FLOOR = 1e-15
 
 
 class BracketError(ValueError):
@@ -282,6 +295,35 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     return 0.5 * (lo + hi)
 
 
+def golden_section(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Golden-section search for the minimum of a unimodal f on [lo, hi].
+
+    The bracket shrinks by the golden ratio per evaluation until it is at
+    most ``tol`` wide; returns (x, f(x)) for the better of its two interior
+    points, the lower one winning a tie.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    h = hi - lo
+    c = lo + _INV_PHI2 * h
+    d = lo + _INV_PHI * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            h = hi - lo
+            c = lo + _INV_PHI2 * h
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            h = hi - lo
+            d = lo + _INV_PHI * h
+            fd = f(d)
+    return (d, fd) if fd < fc else (c, fc)
+
+
 def minimize_scalar(
     f: Callable[[float], float],
     lo: float,
@@ -289,10 +331,12 @@ def minimize_scalar(
     tol: float = 1e-10,
     grid: int = 1024,
 ) -> tuple[float, float]:
-    """Minimize f on [lo, hi]: coarse grid scan, then golden-section refinement.
+    """Minimize f on [lo, hi]: grid scan, then ``golden_section`` around its best point.
 
-    The scan uses at least 1024 points so narrow basins are not missed; the
-    returned pair is (argmin, min) for the best point encountered.
+    The scan uses at least 1024 points so narrow basins of a multimodal f
+    are not missed; golden section then refines the two cells beside the
+    best scanned point.  The returned pair is (argmin, min) for the best
+    point encountered, the scanned point winning ties.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -306,55 +350,11 @@ def minimize_scalar(
             best_i, best_x, best_f = i, x, fx
     a = lo + max(best_i - 1, 0) * step
     b = lo + min(best_i + 1, n) * step
-    # golden-section inside the bracketing cell pair
-    h = b - a
-    if h > tol:
-        c = a + _INV_PHI2 * h
-        d = a + _INV_PHI * h
-        fc, fd = f(c), f(d)
-        while h > tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                h = b - a
-                c = a + _INV_PHI2 * h
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                h = b - a
-                d = a + _INV_PHI * h
-                fd = f(d)
-        for x, fx in ((c, fc), (d, fd)):
-            if fx < best_f:
-                best_x, best_f = x, fx
+    if b - a > tol:
+        x, fx = golden_section(f, a, b, tol)
+        if fx < best_f:
+            best_x, best_f = x, fx
     return best_x, best_f
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    fa: float,
-    b: float,
-    fb: float,
-    fm: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise ConvergenceError("adaptive Simpson refinement budget exhausted")
-    half = 0.5 * tol
-    return _adaptive_simpson(f, a, fa, m, fm, flm, left, half, depth - 1) + _adaptive_simpson(
-        f, m, fm, b, fb, frm, right, half, depth - 1
-    )
 
 
 def integrate(
@@ -362,35 +362,58 @@ def integrate(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
-    """Adaptive-Simpson integral of f over [a, b]; b may be +infinity.
+    """Double-exponential integral of f over [a, b]; b may be +infinity.
 
-    A semi-infinite range is mapped onto [0, 1) by t = a + u/(1-u); the
-    integrand must decay fast enough for the transformed endpoint value to
-    vanish, which holds for the exponential tails used in this package.
-    Raises ConvergenceError when the recursion budget runs out.
+    The rules of Takahasi & Mori (Publ. RIMS 9, 1974) are trapezoidal sums in
+    t over |t| <= _DE_T_MAX = 4 with u = (pi/2) sinh t:
+
+    - tanh-sinh on a finite range, with d = (b - a)/2, nodes a + delta and
+      b - delta, where delta = d (1 - tanh u) = d / (e^u cosh u) is formed
+      without cancellation, and weight d (pi/2) cosh t / cosh^2 u;
+    - exp-sinh on [a, inf), with nodes a + e^u and a + e^-u and weights
+      (pi/2) cosh t times the same e^u and e^-u.
+
+    The step halves from 1, adding the new nodes to the sum so far, until
+    two successive sums differ by at most max(tol, _DE_REL_FLOOR * |sum|).
+    Nodes come within 1e-37 d of an endpoint at 0, so f may have an
+    integrable singularity of order up to 1/2 there; at any other finite
+    endpoint the nearest nodes round onto it, so f must be finite there.  On
+    [a, inf) f must be bounded near a and decay fast enough for its tail
+    past a + e^42 to vanish.  Raises ConvergenceError after _DE_LEVELS = 8
+    halvings.
     """
-    if math.isinf(b):
-        if b < 0:
-            raise ValueError("lower-unbounded ranges are not supported")
-
-        def transformed(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            s = 1.0 - u
-            return f(a + u / s) / (s * s)
-
-        return integrate(transformed, 0.0, 1.0, tol=tol, max_depth=max_depth)
+    if b == -math.inf or a == -math.inf:
+        raise ValueError("lower-unbounded ranges are not supported")
     if a == b:
         return 0.0
     if a > b:
-        return -integrate(f, b, a, tol=tol, max_depth=max_depth)
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, max_depth)
+        return -integrate(f, b, a, tol=tol)
+    if math.isinf(b):
+        center = f(a + 1.0) * _HALF_PI
+
+        def pair(t: float) -> float:
+            e = math.exp(_HALF_PI * math.sinh(t))
+            return (f(a + e) * e + f(a + 1.0 / e) / e) * (_HALF_PI * math.cosh(t))
+
+    else:
+        d = 0.5 * (b - a)
+        center = f(a + d) * (_HALF_PI * d)
+
+        def pair(t: float) -> float:
+            eu = math.exp(_HALF_PI * math.sinh(t))
+            cu = 0.5 * (eu + 1.0 / eu)
+            delta = d / (eu * cu)
+            return (f(a + delta) + f(b - delta)) * (_HALF_PI * d * math.cosh(t) / (cu * cu))
+
+    total, estimate, h, stride = center, math.nan, 1.0, 1
+    for _ in range(_DE_LEVELS + 1):
+        total += sum(pair(k * h) for k in range(1, int(_DE_T_MAX / h) + 1, stride))
+        value = h * total
+        if abs(value - estimate) <= max(tol, _DE_REL_FLOOR * abs(value)):
+            return value
+        estimate, h, stride = value, 0.5 * h, 2
+    raise ConvergenceError(f"double-exponential quadrature did not settle in {_DE_LEVELS} halvings")
 
 
 def pareto_lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -331,6 +331,50 @@ class TestMinimizeScalar:
         assert x == pytest.approx(closed, abs=1e-6)
 
 
+class TestGoldenSection:
+    def test_parabola(self):
+        x, fx = specfn.golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
+        assert x == pytest.approx(0.3, abs=1e-10)
+        assert fx == (x - 0.3) ** 2
+
+    def test_constant(self):
+        x, fx = specfn.golden_section(lambda _: 2.5, 0.0, 1.0, tol=1e-8)
+        assert fx == 2.5
+        assert 0.0 < x < 1.0
+
+    def test_bracket_within_tolerance(self):
+        x, fx = specfn.golden_section(lambda x: -x, 0.25, 0.25 + 1e-12, tol=1e-9)
+        assert 0.25 < x < 0.25 + 1e-12 and fx == -x
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5)])
+    def test_empty_bracket(self, lo, hi):
+        with pytest.raises(ValueError):
+            specfn.golden_section(lambda x: x, lo, hi)
+
+    def test_outage_tradeoff_matches_closed_form(self):
+        # the objective of TestMinimizeScalar, unimodal on the whole interval
+        closed = 1.0 - math.exp(-2.0 / (1.0 + math.sqrt(5.0)))
+        x, _ = specfn.golden_section(
+            lambda q: q + (1.0 - q) / (1.0 - math.log1p(-q)), 1e-9, 1.0 - 1e-9, tol=1e-9
+        )
+        assert x == pytest.approx(closed, abs=1e-6)
+
+
+def _selfcheck_integrals():
+    """The twelve integrals of selfcheck, each with its closed form in mpmath.
+
+    int_0^inf exp(-s)/(x + s) ds = e^x E1(x), and
+    int_0^inf exp(-g)/(1 + a g) dg = e^(1/a) E1(1/a) / a.
+    """
+    for x in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        yield (lambda s, x=x: math.exp(-s) / (x + s)), (lambda mp, x=x: mp.exp(x) * mp.e1(x))
+    for a in (0.5, 1.0, 2.0, 5.0):
+        yield (
+            (lambda g, a=a: math.exp(-g) / (1.0 + a * g)),
+            (lambda mp, a=a: mp.exp(1 / mp.mpf(a)) * mp.e1(1 / mp.mpf(a)) / a),
+        )
+
+
 class TestIntegrate:
     def test_unit_box(self):
         assert specfn.integrate(lambda _: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -347,15 +391,54 @@ class TestIntegrate:
     def test_orientation(self):
         assert specfn.integrate(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
 
-    def test_budget_exhaustion(self):
+    @pytest.mark.parametrize("tol", [1e-13, 0.0])
+    def test_selfcheck_integrals_match_mpmath(self, tol):
+        # tol 0 stops where successive sums agree to rounding
+        mpmath = pytest.importorskip("mpmath")
+        for f, exact in _selfcheck_integrals():
+            value = specfn.integrate(f, 0.0, math.inf, tol=tol)
+            with mpmath.workdps(30):
+                assert value == pytest.approx(float(exact(mpmath)), rel=1e-15, abs=0.0)
+
+    def test_selfcheck_integrals_evaluation_count(self):
+        # a work count, which does not drift with the machine's speed
+        for f, _ in _selfcheck_integrals():
+            evals = []
+
+            def counted(x, f=f):
+                evals.append(x)
+                return f(x)
+
+            specfn.integrate(counted, 0.0, math.inf, tol=1e-13)
+            assert len(evals) <= 400
+
+    def test_endpoint_singularity(self):
+        value = specfn.integrate(lambda x: x**-0.5, 0.0, 1.0)
+        assert value == pytest.approx(2.0, abs=1e-12)
+
+    def test_narrow_range_far_from_zero(self):
+        # the nodes nearest each endpoint round onto it
+        value = specfn.integrate(lambda x: x, 1e8, 1e8 + 1.0)
+        assert value == pytest.approx(1e8 + 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "f, b",
+        [
+            pytest.param(lambda x: 1.0 / x, 1.0, id="divergent"),
+            pytest.param(
+                lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-300), 1.0, id="interior-singularity"
+            ),
+            pytest.param(math.sin, math.inf, id="no-decay"),
+        ],
+    )
+    def test_level_cap_raises(self, f, b):
         with pytest.raises(specfn.ConvergenceError):
-            specfn.integrate(
-                lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-300),
-                0.0,
-                1.0,
-                tol=1e-14,
-                max_depth=8,
-            )
+            specfn.integrate(f, 0.0, b, tol=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(0.0, -math.inf), (-math.inf, 0.0)])
+    def test_lower_unbounded_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            specfn.integrate(math.exp, a, b)
 
 
 def _is_convex_chain(hull):
