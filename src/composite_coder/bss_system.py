@@ -25,8 +25,9 @@ splitting as meshes, Shannon and outage as one-point meshes, and wraps each
 systematic family as the one-point sweep of its evaluator;
 ``sweep_families`` sweeps several, residue splitting first.  Each table then
 has one code path: a region is ``sweep_family(...).hull()``, the best scheme
-per bad-state probability is ``expected_distortion_frontier`` and the
-interface-complexity tradeoff is ``interface_staircases`` of each sweep's
+per bad-state probability is ``expected_distortion_frontier``, columns of
+each family's ``hull_envelope`` over the p grid with exact crossovers, and
+the interface-complexity tradeoff is ``interface_staircases`` of each sweep's
 (kt, kr, expected) arrays, taken with numpy: the points sorted by
 (k, expected), the running minimum of expected, and the last point of each
 run of equal k.
@@ -60,7 +61,6 @@ __all__ = [
     "SchemeEvaluation",
     "LayeredSweep",
     "WynerZivCurve",
-    "FrontierPoint",
     "Crossover",
     "FrontierResult",
     "wyner_ziv_curve",
@@ -77,6 +77,7 @@ __all__ = [
     "sweep_family",
     "sweep_families",
     "hull_dominates_array",
+    "hull_envelope",
     "expected_distortion_frontier",
     "interface_staircases",
 ]
@@ -431,13 +432,13 @@ def sweep_layered(ch: CompositeBsc, family: Scheme, grid: int) -> LayeredSweep:
 def hull_dominates_array(
     hull: Sequence[tuple[float, float]], x: Sequence[float], y: Sequence[float], slack: float = 0.0
 ) -> np.ndarray:
-    """``specfn.hull_dominates`` of every point (x[i], y[i]), with a relative slack.
+    """Whether the hull polyline, sorted by d1, weakly dominates (x[i], y[i]), for every i.
 
-    Each coordinate v is moved by slack * |v| plus one least subnormal on the
-    slack's side, so the slack scales with the distortions; a zero slack
-    leaves the point as it is.  The comparison is then
-    ``specfn.hull_dominates`` of the moved point at zero slack, with the same
-    arithmetic.
+    Each coordinate v is first moved by slack * |v| plus one least subnormal
+    on the slack's side, so the slack scales with the distortions.  A moved
+    point left of the hull is not dominated; any other is when the hull's
+    height at its x is at most its y: interpolated on the segment found by
+    binary search, or the last vertex's d2 right of the hull.
     """
     import numpy as np
 
@@ -564,26 +565,27 @@ def sweep_families(
     return {family: sweeps[family] for family in families}
 
 
-def _best_vertex(vertices: Sequence[tuple[float, float]], p: float) -> float:
-    """The minimum of (1-p)*d1 + p*d2 over hull vertices.
+# the (p x vertex) cells of one envelope chunk: bounds its temporaries at 2 MiB
+_ENVELOPE_CELLS = 2**18
+
+
+def hull_envelope(hull: Sequence[tuple[float, float]], p: Sequence[float]) -> np.ndarray:
+    """The minimum of (1-p)*d1 + p*d2 over the hull vertices (d1, d2), for every p.
 
     The expectation is linear, so over the time-sharing closure it is
-    minimized at a hull vertex.
+    minimized at a hull vertex.  The (p x vertex) matrix is taken in chunks
+    of at most _ENVELOPE_CELLS cells, so p may be any length.
     """
-    best = math.inf
-    for d1, d2 in vertices:
-        val = (1.0 - p) * d1 + p * d2
-        if val < best:
-            best = val
-    return best
+    import numpy as np
 
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    p: float
-    scheme: Scheme
-    expected: float
-    family_expected: dict[Scheme, float] = field(compare=False)
+    d1, d2 = np.array(hull).T
+    p = np.asarray(p, dtype=float)
+    out = np.empty(p.size)
+    step = max(1, _ENVELOPE_CELLS // d1.size)
+    for start in range(0, p.size, step):
+        q = p[start : start + step, None]
+        out[start : start + step] = ((1.0 - q) * d1 + q * d2).min(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -593,9 +595,14 @@ class Crossover:
     p: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierResult:
-    points: list[FrontierPoint]
+    """Per p: each family's best expected distortion, keyed in tie-break
+    order, and ``winner``, the best family's position in that order."""
+
+    p: np.ndarray
+    expected: dict[Scheme, np.ndarray]
+    winner: np.ndarray
     crossovers: list[Crossover]
 
 
@@ -609,48 +616,64 @@ _FRONTIER_FAMILIES = (
 )
 
 
+def _crossing(hull_a: Sequence[tuple[float, float]], hull_b: Sequence[tuple[float, float]],
+              p_a: float, p_b: float) -> float:
+    """Where the best family changes from A at p_a to B at p_b, from the hull lines.
+
+    The gap E_A - E_B is <= 0 at p_a and >= 0 at p_b.  Its knots are the
+    bracket ends and both hulls' breakpoints between them, where a hull's
+    vertex changes from i to i + 1: (1-p)*dx + p*dy = 0 for the steps dx and
+    dy from vertex i to i + 1.  Walking the knots from p_a, the crossing is
+    the last knot where the gap is <= 0 if the gap is 0 there or that knot is
+    p_b, and otherwise the intersection of the two vertices' lines on the
+    piece after it.
+    """
+    import numpy as np
+
+    hulls = (np.array(hull_a), np.array(hull_b))
+    breaks = [dx / (dx - dy) for dx, dy in (np.diff(h, axis=0).T for h in hulls)]
+    lo, hi = sorted((p_a, p_b))
+    knots = np.unique(np.concatenate(([lo, hi], *breaks)))
+    knots = knots[(lo <= knots) & (knots <= hi)]
+    if p_a > p_b:
+        knots = knots[::-1]
+    gap = hull_envelope(hull_a, knots) - hull_envelope(hull_b, knots)
+    last = np.flatnonzero(gap <= 0.0)[-1]
+    if gap[last] == 0.0 or last == knots.size - 1:
+        return knots[last].item()
+    # each hull's vertex on the piece follows its breakpoints at or below the piece's start
+    start = min(knots[last], knots[last + 1])
+    (xa, ya), (xb, yb) = (h[np.searchsorted(b, start, side="right")] for h, b in zip(hulls, breaks))
+    dx, dy = xa - xb, ya - yb
+    return (dx / (dx - dy)).item()
+
+
 def expected_distortion_frontier(
     ch: CompositeBsc, p_grid: Iterable[float], grid: int = 129
 ) -> FrontierResult:
-    """Best scheme per bad-state probability, with refined crossover points.
+    """Best scheme per bad-state probability, with exact crossover points.
 
-    Each family is swept once (its hull does not depend on p); per-p
-    minimization is then a scan over hull vertices.  Wherever the
-    winning family changes between consecutive grid probabilities, the
-    crossover is refined by bisecting the difference of the two families'
-    best expected distortions to 1e-4.
+    Each family is swept once (its hull does not depend on p), and its
+    column is its ``hull_envelope`` over the whole p grid; the winner is the
+    first least column in _FRONTIER_FAMILIES order.  Wherever the winner
+    changes between consecutive grid points, ``_crossing`` finds the
+    crossover from the hull lines: each envelope is piecewise linear in p.
     """
-    sweeps = sweep_families(ch, grid, _FRONTIER_FAMILIES)
-    hulls = {fam: sweep.hull() for fam, sweep in sweeps.items()}
+    import numpy as np
 
-    points: list[FrontierPoint] = []
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"state probability must lie in [0, 1], got {p}")
-        per_family = {fam: _best_vertex(vertices, p) for fam, vertices in hulls.items()}
-        winner = min(per_family, key=per_family.get)  # the first in tie-break order
-        points.append(FrontierPoint(p, winner, per_family[winner], per_family))
-
-    crossovers: list[Crossover] = []
-    for left, right in zip(points, points[1:]):
-        if left.scheme == right.scheme:
-            continue
-        fam_a, fam_b = left.scheme, right.scheme
-
-        def gap(p: float) -> float:
-            return _best_vertex(hulls[fam_a], p) - _best_vertex(hulls[fam_b], p)
-
-        if gap(left.p) < 0.0 <= gap(right.p):
-            # a descending sweep meets the crossover from above: sort the bracket
-            lo, hi = sorted((left.p, right.p))
-            crossovers.append(
-                Crossover(fam_a, fam_b, specfn.find_root(gap, lo, hi, tol=1e-4))
-            )
-        else:
-            # winner changed without a clean pairwise sign change (three-way
-            # tie region); report the midpoint unrefined
-            crossovers.append(Crossover(fam_a, fam_b, 0.5 * (left.p + right.p)))
-    return FrontierResult(points=points, crossovers=crossovers)
+    p = np.array(p_grid, dtype=float)
+    bad = np.flatnonzero(~((0.0 <= p) & (p <= 1.0)))
+    if bad.size:
+        raise ValueError(f"state probability must lie in [0, 1], got {p[bad[0]].item()}")
+    hulls = [sweep.hull() for sweep in sweep_families(ch, grid, _FRONTIER_FAMILIES).values()]
+    columns = [hull_envelope(hull, p) for hull in hulls]
+    winner = np.argmin(np.stack(columns), axis=0)
+    crossovers = []
+    for i in np.flatnonzero(winner[1:] != winner[:-1]).tolist():
+        a, b = winner[i].item(), winner[i + 1].item()
+        p_cross = _crossing(hulls[a], hulls[b], p[i].item(), p[i + 1].item())
+        crossovers.append(Crossover(_FRONTIER_FAMILIES[a], _FRONTIER_FAMILIES[b], p_cross))
+    return FrontierResult(p, dict(zip(_FRONTIER_FAMILIES, columns)), winner, crossovers)
 
 
 def interface_staircases(

@@ -7,7 +7,7 @@ gaussian-compare   expected distortion of the three Gaussian-channel schemes
 bss-region         achievable (D1, D2) pairs and region hull for the
                    composite-BSC schemes
 bss-frontier       best scheme and per-family expected distortion versus the
-                   bad-state probability, with refined crossover points
+                   bad-state probability, with exact crossover points
 bss-interface      interface complexity versus expected distortion at one
                    operating point
 mc <experiment>    Monte Carlo validation runs (uncoded-bsc,
@@ -67,7 +67,6 @@ SWEEP_CAP = 2**20  # --p-grid points: the row count of a grid-1025 region
 
 _NUMERIC_ERRORS = (
     specfn.ConvergenceError,
-    specfn.BracketError,
     gaussian_system.NoSolutionError,
     ArithmeticError,
     ValueError,
@@ -371,11 +370,11 @@ def cmd_bss_region(cfg: RunConfig) -> FigureTable:
 
 def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
     frontier = bss_system.expected_distortion_frontier(_bsc(cfg), cfg.p_grid, grid=cfg.grid)
-    points = frontier.points
+    names = [family.value for family in frontier.expected]
     columns = (
-        [pt.p for pt in points],
-        *([pt.family_expected[f] for pt in points] for f in bss_system.COMPARED_FAMILIES),
-        [pt.scheme.value for pt in points],
+        frontier.p,
+        *(frontier.expected[f] for f in bss_system.COMPARED_FAMILIES),
+        [names[i] for i in frontier.winner.tolist()],
     )
     extra = {
         f"crossover.{i + 1}": f"{c.scheme_low.value}->{c.scheme_high.value}@{c.p:.6g}"
@@ -383,7 +382,7 @@ def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
     }
     return FigureTable(
         columns=["p", "De_broadcast", "De_residue", "De_sys_good", "De_sys_bad", "best_scheme"],
-        blocks=[Block(len(points), columns)],
+        blocks=[Block(frontier.p.size, columns)],
         metadata=_metadata(cfg, extra),
     )
 
@@ -578,7 +577,7 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 
     pts = [(0.1, 0.4), (0.4, 0.1), (0.4, 0.4), (0.2, 0.35)]
     hull = specfn.pareto_lower_hull(pts)
-    ok = all(specfn.hull_dominates(hull, p, slack=1e-12) for p in pts)
+    ok = bool(bss_system.hull_dominates_array(hull, *zip(*pts), slack=1e-12).all())
     check("hull-dominates-inputs", ok, "every input point dominated")
 
     return results

@@ -26,8 +26,10 @@ Philox words without forming doubles: numpy's double is
 raw < ceil(p * 2^53) << 11, and every double lies below p >= 1.
 
 Budgets: a codebook may hold at most CODEBOOK_CAP packed uint64 words
-(128 MiB), and an uncoded trial at most BLOCKLENGTH_CAP symbols; larger
-requests raise BudgetError before anything is allocated.
+(128 MiB), an uncoded trial at most BLOCKLENGTH_CAP symbols, and a run at
+most TRIAL_WORK_CAP bytes of per-trial work (its trials times the bytes
+each trial draws or scans, at least _TRIAL_FLOOR_BYTES); larger requests
+raise BudgetError before anything is allocated.
 
 Finite-blocklength caveat: the codebook constructions follow the random
 coding recipes (Bernoulli codebooks, superposition by XOR), but typicality
@@ -56,6 +58,7 @@ __all__ = [
     "TrialReport",
     "CODEBOOK_CAP",
     "BLOCKLENGTH_CAP",
+    "TRIAL_WORK_CAP",
     "simulate_uncoded_bsc",
     "simulate_uncoded_gaussian",
     "simulate_random_quantizer",
@@ -67,6 +70,10 @@ log = logging.getLogger(__name__)
 
 CODEBOOK_CAP = 2**24  # packed uint64 words per codebook
 BLOCKLENGTH_CAP = 2**24  # symbols per uncoded trial
+TRIAL_WORK_CAP = 2**37  # trials x per-trial bytes per run: 2^24 trials of at most 8 KiB
+# what a trial costs whatever its size: re-keying its streams takes about
+# 8 us, as long as drawing 1000 symbols (8 KiB of raw words)
+_TRIAL_FLOOR_BYTES = 2**13
 
 # decoding-ball slack added to the nominal noise levels; keeps the true
 # codeword inside its ball often enough at small blocklengths while staying
@@ -183,6 +190,12 @@ def _chunks(trials: int, per_trial_bytes: int) -> Iterator[range]:
     return (range(lo, min(trials, lo + step)) for lo in range(0, trials, step))
 
 
+def _check_work(trials: int, per_trial_bytes: int) -> None:
+    if trials * max(per_trial_bytes, _TRIAL_FLOOR_BYTES) > TRIAL_WORK_CAP:
+        raise BudgetError(f"{trials} trials of {per_trial_bytes} bytes each exceed "
+                          f"the work cap of {TRIAL_WORK_CAP} bytes")
+
+
 def _fair_words(streams: Callable[[int], np.random.Generator], chunk: range,
                 rows: int, n: int) -> np.ndarray:
     """Each trial's first rows words of n Bernoulli(1/2) bits from its own
@@ -197,10 +210,17 @@ def _fair_words(streams: Callable[[int], np.random.Generator], chunk: range,
 
 
 def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
+    """Mean and half-width, taken on the values scaled by 2^-e, e the exponent
+    of max |v|, so no square overflows; scaling back by 2^e is exact (sqrt
+    halves an even exponent), so the bits are those of the unscaled
+    statistics wherever those neither over- nor underflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        mean = float(values.mean())
+        e = math.frexp(float(np.abs(values).max()))[1]
+        scaled = np.ldexp(values, -e)
+        mean = math.ldexp(float(scaled.mean()), e)
         if len(values) > 1:
-            half = 1.96 * float(values.std(ddof=1)) / math.sqrt(len(values))
+            std = float(np.ldexp(scaled.std(ddof=1), e))
+            half = 1.96 * std / math.sqrt(len(values))
         else:
             half = 0.0
     if not (math.isfinite(mean) and math.isfinite(half)):
@@ -223,6 +243,7 @@ def simulate_uncoded_bsc(cfg: TrialConfig, alpha: float) -> TrialReport:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {alpha}")
     n = _uncoded_blocklength(cfg)
+    _check_work(cfg.trials, 8 * n)
     streams = _stream(cfg.seed, 0)
     values = np.empty(cfg.trials)
     for chunk in _chunks(cfg.trials, n):
@@ -251,6 +272,7 @@ def simulate_uncoded_gaussian(
         if gamma < 0.0:
             raise ValueError(f"channel gain must be nonnegative, got {gamma}")
     n = _uncoded_blocklength(cfg)
+    _check_work(cfg.trials, 16 * n)
     scale = math.sqrt(sys.power / sys.sigma2)
     # per gain: the channel's amplitude on V and the LMMSE coefficient
     gains = [
@@ -307,7 +329,9 @@ def simulate_random_quantizer(cfg: TrialConfig, rate: float) -> TrialReport:
     is then a codeword, matching the lossless regime exactly).
     """
     n = cfg.blocklength
-    codebook = _source_codebook(cfg.seed, _codebook_size(rate, n), n)
+    size = _codebook_size(rate, n)
+    _check_work(cfg.trials, 8 * (n + size * -(-n // 64)))
+    codebook = _source_codebook(cfg.seed, size, n)
     streams = _stream(cfg.seed, 1)
     values = np.empty(cfg.trials)
     for chunk in _chunks(cfg.trials, max(8 * n, codebook.nbytes)):
@@ -330,6 +354,7 @@ def simulate_msvq(cfg: TrialConfig, r2: float, r1: float) -> tuple[TrialReport, 
         raise BudgetError(f"combined codebooks 2^(({r1}+{r2})*{n}) exceed {CODEBOOK_CAP}")
     size2 = _codebook_size(r2, n)
     size1 = _codebook_size(r1, n)
+    _check_work(cfg.trials, 8 * (n + (size2 + size1) * -(-n // 64)))
     d2_target = specfn.bss_distortion_rate(r2)
     d1_target = specfn.bss_distortion_rate(r1 + r2)
     if 1.0 - 2.0 * d1_target <= 0.0:
@@ -395,6 +420,8 @@ def simulate_superposition_bc(
     m = cfg.blocklength
     size_u = _codebook_size(rates.r2, m)
     size_q = _codebook_size(rates.r1, m)
+    # per trial: the base codebook's raw words, the noise words and a cloud scan
+    _check_work(cfg.trials, 8 * ((size_u + 2) * m + size_q * -(-m // 64)))
     book_q = _draw_codebook(_stream(cfg.seed, 1)(0), size_q, m, beta)
     messages = _stream(cfg.seed, 2)
     base_books = _stream(cfg.seed, 3)

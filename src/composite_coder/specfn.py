@@ -13,22 +13,18 @@ Conventions that the rest of the package relies on:
   literally to avoid that confusion.
 - The entropy inverse is Newton's method on numpy arrays, so a scalar call
   and an array call run the same arithmetic and agree bit for bit; numpy is
-  imported on the first call.  ``find_root`` bisection remains for functions
-  without a usable derivative.
+  imported on the first call.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "BracketError",
     "BudgetError",
     "ConvergenceError",
     "binary_entropy",
@@ -39,12 +35,10 @@ __all__ = [
     "exp_integral",
     "scaled_exp_integral",
     "lambert_w",
-    "find_root",
     "golden_section",
     "minimize_scalar",
     "integrate",
     "pareto_lower_hull",
-    "hull_dominates",
 ]
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
@@ -76,10 +70,6 @@ _DE_T_MAX = 4.0
 _DE_LEVELS = 8
 # successive sums this close, relative, agree to rounding
 _DE_REL_FLOOR = 1e-15
-
-
-class BracketError(ValueError):
-    """Root bracket endpoints do not straddle a sign change."""
 
 
 class ConvergenceError(RuntimeError):
@@ -271,30 +261,6 @@ def lambert_w(z: float) -> float:
     return w
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def golden_section(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
 ) -> tuple[float, float]:
@@ -444,26 +410,3 @@ def pareto_lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float
                 break
         hull.append(p)
     return hull
-
-
-def hull_dominates(
-    hull: Sequence[tuple[float, float]], point: tuple[float, float], slack: float = 0.0
-) -> bool:
-    """True when some point on the hull polyline weakly dominates ``point``.
-
-    ``hull`` must be sorted by x, as ``pareto_lower_hull`` returns it; the
-    segment under the point is found by bisection.  ``slack`` loosens the
-    comparison componentwise; a negative slack demands strict domination by
-    at least that margin.
-    """
-    px, py = point
-    reach = px + slack
-    if reach < hull[0][0]:
-        return False
-    k = bisect.bisect_right(hull, reach, key=itemgetter(0))
-    if k == len(hull):
-        # hull y-values decrease with x, so the last vertex is the least y
-        return hull[-1][1] <= py + slack
-    (x0, y0), (x1, y1) = hull[k - 1], hull[k]
-    t = (reach - x0) / (x1 - x0)
-    return y0 + t * (y1 - y0) <= py + slack

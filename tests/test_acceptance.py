@@ -23,6 +23,7 @@ from composite_coder.channels import (
     outage_capacity_rayleigh,
 )
 from composite_coder.montecarlo import TrialConfig
+from test_specfn import hull_dominates
 
 PRIMARY_SEED = 20240917
 SECONDARY_SEED = 714025
@@ -151,10 +152,10 @@ def test_criterion_06_region_inclusion():
     residue_hull = bss.sweep_family(BSC, Scheme.RESIDUE_SPLITTING, grid).hull()
     broadcast_hull = bss.sweep_family(BSC, Scheme.BROADCAST, grid).hull()
     for point in broadcast_hull:
-        assert specfn.hull_dominates(residue_hull, point, slack=1e-12)
+        assert hull_dominates(residue_hull, point, slack=1e-12)
     for family in (Scheme.SYSTEMATIC_GOOD, Scheme.SYSTEMATIC_BAD):
         (point,) = bss.sweep_family(BSC, family, grid).hull()
-        assert not specfn.hull_dominates(residue_hull, point, slack=-1e-4)
+        assert not hull_dominates(residue_hull, point, slack=-1e-4)
     _report(
         6,
         f"{len(broadcast_hull)} broadcast hull points dominated; "

@@ -13,6 +13,7 @@ from composite_coder import bss_system as bss
 from composite_coder import specfn
 from composite_coder.bss_system import Scheme, SchemeEvaluation
 from composite_coder.channels import CompositeBsc, bsc_bc_rate_region
+from test_specfn import hull_dominates
 
 CH = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.5, b=2.0)
 
@@ -361,13 +362,13 @@ class TestDistortionRegion:
         bc_hull = bss.sweep_family(CH, Scheme.BROADCAST, 33).hull()
         rs_hull = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 33).hull()
         for point in bc_hull:
-            assert specfn.hull_dominates(rs_hull, point, slack=1e-12)
+            assert hull_dominates(rs_hull, point, slack=1e-12)
 
     def test_systematic_points_outside_residue_region(self):
         rs_hull = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 65).hull()
         for fam in (Scheme.SYSTEMATIC_GOOD, Scheme.SYSTEMATIC_BAD):
             (point,) = bss.sweep_family(CH, fam, 65).hull()
-            assert not specfn.hull_dominates(rs_hull, point, slack=-1e-4)
+            assert not hull_dominates(rs_hull, point, slack=-1e-4)
 
     def test_hull_grows_with_grid(self):
         # 17-point and 33-point uniform sweeps share nodes (16 | 32), so the
@@ -375,28 +376,29 @@ class TestDistortionRegion:
         coarse = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 17).hull()
         fine = bss.sweep_family(CH, Scheme.RESIDUE_SPLITTING, 33).hull()
         for point in coarse:
-            assert specfn.hull_dominates(fine, point, slack=1e-12)
+            assert hull_dominates(fine, point, slack=1e-12)
 
 
 class TestFrontier:
     def test_family_sandwich(self):
         frontier = bss.expected_distortion_frontier(CH, [0.1, 0.3, 0.5, 0.7, 0.9], grid=33)
-        for pt in frontier.points:
-            rs = pt.family_expected[Scheme.RESIDUE_SPLITTING]
-            assert rs <= pt.family_expected[Scheme.BROADCAST] + 1e-12
+        rs = frontier.expected[Scheme.RESIDUE_SPLITTING]
+        assert (rs <= frontier.expected[Scheme.BROADCAST] + 1e-12).all()
 
     def test_systematic_linear_in_p(self):
         frontier = bss.expected_distortion_frontier(CH, [0.0, 0.5, 1.0], grid=2)
-        lo, mid, hi = (pt.family_expected[Scheme.SYSTEMATIC_GOOD] for pt in frontier.points)
+        lo, mid, hi = frontier.expected[Scheme.SYSTEMATIC_GOOD].tolist()
         assert mid == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_frontier_points_and_crossovers(self):
         result = bss.expected_distortion_frontier(
             CH, [i / 40 for i in range(41)], grid=65
         )
-        assert len(result.points) == 41
-        for pt in result.points:
-            assert pt.expected == min(pt.family_expected.values())
+        assert result.p.tolist() == [i / 40 for i in range(41)]
+        columns = list(result.expected.values())
+        assert all(c.shape == (41,) for c in columns)
+        for i, best in enumerate(result.winner.tolist()):
+            assert columns[best][i] == min(c[i] for c in columns)
         schemes = [c for c in result.crossovers]
         assert [(
             c.scheme_low, c.scheme_high) for c in schemes] == [
@@ -406,15 +408,16 @@ class TestFrontier:
         ]
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            bss.expected_distortion_frontier(CH, [1.2], grid=17)
+        with pytest.raises(ValueError, match=r"got 1\.2$"):
+            bss.expected_distortion_frontier(CH, [0.5, 1.2, -1.0], grid=17)
 
     def test_exact_residue_broadcast_tie_names_residue_splitting(self):
         # at p = 0 both families reach the outage point (residue splitting at rho = 0)
-        (pt,) = bss.expected_distortion_frontier(CH, [0.0], grid=33).points
-        tie = pt.family_expected[Scheme.RESIDUE_SPLITTING]
-        assert tie == pt.family_expected[Scheme.BROADCAST] == pt.expected
-        assert pt.scheme == Scheme.RESIDUE_SPLITTING
+        result = bss.expected_distortion_frontier(CH, [0.0], grid=33)
+        tie = result.expected[Scheme.RESIDUE_SPLITTING].item()
+        assert tie == result.expected[Scheme.BROADCAST].item()
+        assert tie == min(c.item() for c in result.expected.values())
+        assert list(result.expected)[result.winner.item()] == Scheme.RESIDUE_SPLITTING
 
 
 def _staircase_loop(series):
@@ -635,10 +638,10 @@ class TestArrayCore:
             moved = [(px + (slack * abs(px) + pad), py + (slack * abs(py) + pad))
                      for px, py in zip(x.tolist(), y.tolist())]
             got = bss.hull_dominates_array(hull, x, y, slack).tolist()
-            assert got == [specfn.hull_dominates(hull, p) for p in moved]
+            assert got == [hull_dominates(hull, p) for p in moved]
         single = [hull[0]]
         got = bss.hull_dominates_array(single, x, y).tolist()
-        assert got == [specfn.hull_dominates(single, p) for p in zip(x.tolist(), y.tolist())]
+        assert got == [hull_dominates(single, p) for p in zip(x.tolist(), y.tolist())]
 
 
 _THETA_POINT = (0.2, 0.3, 2.0)  # systematic_bad time-shares past the turning point
@@ -689,9 +692,9 @@ class TestRegistry:
         points = list(zip(sweep.d1.tolist(), sweep.d2.tolist()))
         hull = sweep.hull()
         assert hull == specfn.pareto_lower_hull(points)
-        for p in (0.0, 0.37, 1.0):
-            best = min((1.0 - p) * d1 + p * d2 for d1, d2 in points)
-            assert bss._best_vertex(hull, p) == pytest.approx(best, abs=1e-15)
+        grid = [0.0, 0.37, 1.0]
+        best = [min((1.0 - p) * d1 + p * d2 for d1, d2 in points) for p in grid]
+        assert bss.hull_envelope(hull, grid).tolist() == pytest.approx(best, abs=1e-15)
 
     def test_families_keep_the_given_order(self):
         families = (Scheme.SYSTEMATIC_BAD, Scheme.BROADCAST, Scheme.RESIDUE_SPLITTING)

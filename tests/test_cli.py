@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +96,20 @@ class TestOutputFormats:
         assert len(err.splitlines()) == 1
 
 
-# a normal sigma2 whose squared errors leave the float range (sigma2 = 1.7e308
-# needs P >= 4 to keep P/sigma2 a normal float, which the config check requires)
+# a normal sigma2 whose squared errors leave the float range (P = 4 keeps
+# P/sigma2 a normal float at these sigma2, which the config check requires)
 _MC_OVERFLOW_INPUTS = [
-    ["mc", "uncoded-gaussian", "--sigma2", "1e300", "--trials", "3", "--blocklength", "4"],
+    ["mc", "uncoded-gaussian", "--sigma2", "1e308", "--power", "4", "--trials", "3",
+     "--blocklength", "4"],
     ["mc", "uncoded-gaussian", "--sigma2", "1.7e308", "--power", "4", "--trials", "3",
      "--blocklength", "4"],
+]
+# squared errors within the float range whose squared deviations from their
+# mean are not: the half-width is finite all the same
+_MC_HUGE_INPUTS = [
+    ["mc", "uncoded-gaussian", "--sigma2", "1e300", "--trials", "3", "--blocklength", "4"],
+    ["mc", "uncoded-gaussian", "--trials", "7", "--blocklength", "5", "--sigma2", "1e160",
+     "--power", "1e-95", "--gamma-bar", "1e-13"],
 ]
 
 
@@ -340,6 +349,31 @@ class TestConfigHandling:
         assert (code, out) == (3, "")
         assert err.startswith("numeric error: trial statistics leave the float range")
         assert err.count("\n") == 1  # no numpy floating-point warning lines
+
+    @pytest.mark.parametrize("argv", _MC_HUGE_INPUTS, ids=" ".join)
+    def test_uncoded_gaussian_huge_errors_have_a_finite_half_width(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            mean, half = float(row[header.index("mean")]), float(row[header.index("half_width")])
+            assert math.isfinite(mean) and 0.0 < half < math.inf
+
+    @pytest.mark.parametrize("experiment", ["uncoded-bsc", "uncoded-gaussian", "quantizer",
+                                            "msvq", "superposition"])
+    def test_trial_work_budget(self, experiment, capsys):
+        # refused from the trial count, before the trials' arrays exist
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["mc", experiment, "--trials", "1000000000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err.startswith("budget error: 1000000000000 trials")
+        assert err.count("\n") == 1
+        assert peak < 2**20
 
     @pytest.mark.parametrize("command", ["bss-region", "bss-frontier", "bss-interface"])
     def test_analytic_sweep_budget(self, command, capsys):
@@ -726,6 +760,32 @@ class TestBssFrontier:
         values = [float(r[3]) for r in rows]
         assert values[1] == pytest.approx(0.5 * (values[0] + values[2]), abs=1e-9)
 
+    def test_sweep_cap_in_a_fresh_process(self, tmp_path):
+        # the child reports its own peak resident size and CPU time, which no
+        # earlier child of this test process can have raised
+        src = str(Path(composite_coder.__file__).resolve().parents[1])
+        script = (
+            "import resource, sys\n"
+            "from composite_coder import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(usage.ru_maxrss, usage.ru_utime + usage.ru_stime)\n"
+            "sys.exit(code)\n"
+        )
+        out = tmp_path / "frontier.csv"
+        argv = ["bss-frontier", "--p-grid", f"0:1:{cli.SWEEP_CAP}", "--grid", "129", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        maxrss_kib, cpu_s = proc.stdout.split()
+        assert int(maxrss_kib) <= 450 * 1024
+        assert float(cpu_s) <= 15.0
+        with out.open() as fh:
+            rows = sum(1 for line in fh if not line.startswith("#"))
+        assert rows == cli.SWEEP_CAP + 1  # the header and one row per p
+
 
 class TestBssInterface:
     def test_rows_and_staircases(self, capsys):
@@ -794,7 +854,9 @@ class TestSelfcheck:
 
 
 # sha256 of stdout of every bss-* table, re-recorded when the distortion-rate
-# inverse became Newton's method, after its 50-digit mpmath tests passed
+# inverse became Newton's method, after its 50-digit mpmath tests passed; the
+# frontier pins again when the crossovers became exact, after the Fraction
+# oracle (TestFrontierOracle) passed, with no data row changed
 _POINTS = {
     "reference": ["--alpha1", "0.25", "--alpha2", "0.45", "--b", "2", "--p", "0.5"],
     "near": ["--alpha1", "0.2", "--alpha2", "0.35", "--b", "1.8", "--p", "0.3"],
@@ -809,15 +871,15 @@ _TABLES = {
 _PINNED_SHA256 = {
     ("reference", "region-csv"): "ff0b846f9a1311e8d57aa7030850c95ac4bed7475ddc8c7bd2c93e2b2b7aa3f7",
     ("reference", "region-json"): "4e0cb04779c09f5806bc0affe4c3e549877fe35244556c8d033362fd7fad8fe6",
-    ("reference", "frontier"): "9d3942163fa6b4b5d2814fed566b39545aed7184296c663884f6183c4d4bf6c6",
+    ("reference", "frontier"): "231fa7daf7ef6ce7eb7e8408885e87cc3f358efbca9fee1f2385aa4892b68d4d",
     ("reference", "interface"): "2659f44a76197bc72de9a80cadaf3028b81a7d6a234d3ea5e5a4f36dcbc29c06",
     ("near", "region-csv"): "0f4dae951c723c185680fc591f4dcc9bdd161a14ee48a39775f3fb451f1403ab",
     ("near", "region-json"): "4f379c1847fc825b9b991539c0f9e4a5cea322c1dcabda626e7d9741a36f2107",
-    ("near", "frontier"): "f983f9d6ddef27c2211898e66592bb5e2f134f8f0034ad493786e350e5c86db1",
+    ("near", "frontier"): "6b8fdc00c3e0e73d7b6c1eee548fdc47b036d348d1c832a942044c69a0403003",
     ("near", "interface"): "c90fe5e722d8ecbb2437b025f60a7e324f5fa42abf0bf5f5570bbffb4f4ccb6f",
     ("lossless", "region-csv"): "9a7be9d29ee7f56ce81e878dcbaab8ad5713a0d43f177925f1e923b7dd4a72c3",
     ("lossless", "region-json"): "3e412c970931f10be36a0c1f23414f8bf0e8ebbc1c6bc8f510c17d8da493b9fc",
-    ("lossless", "frontier"): "08afc795cbae864eac45f42fa83ed670685f38ce15a72db6a4753f0aa0425740",
+    ("lossless", "frontier"): "912ddeb8d5daa8828d0d08658b534efe8efb89f6eed1104f8d4380102caea74d",
     ("lossless", "interface"): "3d65cb17ba033e07880b7bb4f7ec6a204088eeafe34bc450a56c0ed9cc0c0a5d",
 }
 # sha256 of stdout of the benchmark-size tables at the reference point, which
@@ -829,7 +891,7 @@ _PINNED_BENCH_SIZE_SHA256 = {
     "bss-interface --grid 65 --p 0.3":
         "744fab8e6b74177c922db1b8371f240436e7c599cf1c02fa4e7234e3c6b228b8",
     "bss-frontier --p-grid 0:1:101 --grid 129":
-        "9550717ac8e71ed3d92450d4531a9a1bc795e22d05f503745e7fa8834041e261",
+        "0a2f23733900717c4807d4712f8527f69bea7367defb330de3548f4fcb3f2f3a",
 }
 
 
@@ -899,6 +961,84 @@ _PINNED_MC_SHA256 = {
     "mc superposition --trials 33 --blocklength 100 --alpha1 0.26 --alpha2 0.4 --format json":
         "6029decc19d4a2e2d2af6c76e53d8e45bb6db24bc3a8e7ce8191cdd059818a7c",
 }
+
+
+def _exact_crossover(hull_a, hull_b, p_a, p_b):
+    """Where the best family changes from A at p_a to B at p_b, in exact arithmetic.
+
+    The envelopes are those of the float hull vertices taken as rationals.
+    The crossover is the point of the bracket furthest along the sweep where
+    E_A <= E_B: the last knot (a bracket end or a breakpoint of either hull)
+    where that holds, if it is a tie or the far end, and otherwise the root
+    on the piece after it, bracketed by 80 bisections.  Returns the bracket.
+    """
+    hulls = [[(Fraction(x), Fraction(y)) for x, y in hull] for hull in (hull_a, hull_b)]
+
+    def gap(p):
+        e_a, e_b = (min((1 - p) * x + p * y for x, y in hull) for hull in hulls)
+        return e_a - e_b
+
+    lo, hi = sorted((Fraction(p_a), Fraction(p_b)))
+    breaks = {
+        (x1 - x0) / ((x1 - x0) - (y1 - y0))
+        for hull in hulls
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+    }
+    knots = sorted({lo, hi} | {b for b in breaks if lo < b < hi}, reverse=p_a > p_b)
+    last = max(i for i, k in enumerate(knots) if gap(k) <= 0)
+    if gap(knots[last]) == 0 or last == len(knots) - 1:
+        return knots[last], knots[last]
+    inside, beyond = knots[last], knots[last + 1]
+    for _ in range(80):
+        mid = (inside + beyond) / 2
+        if gap(mid) <= 0:
+            inside = mid
+        else:
+            beyond = mid
+    return inside, beyond
+
+
+_TIE = Fraction(1, 10**12)
+
+
+class TestFrontierOracle:
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("grid", [9, 33])
+    @pytest.mark.parametrize("point", sorted(_POINTS))
+    def test_printed_crossovers_are_exact(self, point, grid, descending, capsys):
+        p_grid = cli._parse_grid_spec("0:1:21")
+        if descending:
+            p_grid.reverse()
+        argv = ["bss-frontier", *_POINTS[point], "--grid", str(grid),
+                "--p-grid", ",".join(map(repr, p_grid))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the lossless point leaves the lossy regime
+            code, out, _ = run_cli(argv, capsys)
+            cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+            hulls = {
+                family.value: bss_system.sweep_family(cli._bsc(cfg), family, grid).hull()
+                for family in bss_system.COMPARED_FAMILIES
+            }
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        count = sum(key.startswith("crossover.") for key in meta)
+        printed = [meta[f"crossover.{i + 1}"] for i in range(count)]
+        expected = []
+        for i in range(len(rows) - 1):
+            a, b = rows[i][5], rows[i + 1][5]
+            if a == b:
+                continue
+            inside, beyond = _exact_crossover(hulls[a], hulls[b], p_grid[i], p_grid[i + 1])
+            # the tie rule: a crossover within 1e-12 relative of a rounding
+            # midpoint of .6g may print either way
+            lo, hi = sorted((inside, beyond))
+            spellings = {f"{float(lo * (1 - _TIE)):.6g}", f"{float(hi * (1 + _TIE)):.6g}"}
+            expected.append((f"{a}->{b}", spellings))
+        assert len(printed) == len(expected)
+        for line, (pair, spellings) in zip(printed, expected):
+            scheme_pair, _, value = line.partition("@")
+            assert scheme_pair == pair
+            assert value in spellings, (line, spellings)
 
 
 class TestPinnedBytes:

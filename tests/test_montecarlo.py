@@ -7,6 +7,7 @@ fixed secondary seed before declaring failure.
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ class TestConfigAndReport:
         report = mc.simulate_uncoded_bsc(TrialConfig(64, 50, 3), 0.3)
         assert report.trials == 50
         assert report.half_width_95 > 0.0
+
+    @pytest.mark.parametrize("scale", [2.0**-60, 1e-3, 1.0, 3.0, 1e100])
+    def test_scaled_statistics_keep_the_unscaled_bits(self, scale):
+        values = np.random.default_rng(5).standard_normal(101) * scale
+        report = mc._report(values, TrialConfig(1, values.size, 0))
+        assert report.mean == float(values.mean())
+        assert report.half_width_95 == 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
+
+    def test_half_width_of_huge_values(self):
+        # the squared deviations, about 1e320, would leave the float range
+        values = [1e160, 3e160, 2.5e160]
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / 3
+        variance = sum((v - mean) ** 2 for v in exact) / 2
+        report = mc._report(np.array(values), TrialConfig(1, 3, 0))
+        assert report.mean == pytest.approx(float(mean), rel=1e-15)
+        # sqrt(variance/3), formed at 2^-400 of its square to stay in range
+        half = 1.96 * math.sqrt(float(variance / 3 / 2**400)) * 2.0**200
+        assert report.half_width_95 == pytest.approx(half, rel=1e-15)
 
 
 class TestDeterminism:

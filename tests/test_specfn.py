@@ -1,8 +1,10 @@
 """Unit and property tests for the scalar numerics."""
 
+import bisect
 import math
 import random
 import sys
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -291,24 +293,6 @@ class TestLambertW:
             specfn.lambert_w(-0.5)
 
 
-class TestFindRoot:
-    def test_linear(self):
-        assert specfn.find_root(lambda x: x - 1.0, 0.0, 2.0, tol=1e-12) == pytest.approx(
-            1.0, abs=1e-11
-        )
-
-    def test_entropy_half(self):
-        root = specfn.find_root(
-            lambda x: specfn.binary_entropy(x) - 0.5, 0.0, 0.5, tol=1e-12
-        )
-        assert specfn.binary_entropy(root) == pytest.approx(0.5, abs=1e-9)
-        assert root == pytest.approx(0.11002786443835955, abs=1e-9)
-
-    def test_bracket_error(self):
-        with pytest.raises(specfn.BracketError):
-            specfn.find_root(lambda x: x * x + 1.0, 0.5, 2.0)
-
-
 class TestMinimizeScalar:
     def test_parabola(self):
         x, fx = specfn.minimize_scalar(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
@@ -485,19 +469,19 @@ class TestParetoLowerHull:
         assert xs == sorted(xs)
         assert _is_convex_chain(hull)
         for p in points:
-            assert specfn.hull_dominates(hull, p, slack=1e-12)
+            assert hull_dominates(hull, p, slack=1e-12)
 
 
 class TestHullDominates:
     def test_left_of_hull_not_dominated(self):
         hull = [(0.2, 0.5), (0.5, 0.2)]
-        assert not specfn.hull_dominates(hull, (0.1, 0.9))
+        assert not hull_dominates(hull, (0.1, 0.9))
 
     def test_segment_interpolation(self):
         hull = [(0.0, 1.0), (1.0, 0.0)]
-        assert specfn.hull_dominates(hull, (0.5, 0.5))
-        assert specfn.hull_dominates(hull, (0.5, 0.5 - 1e-13), slack=1e-12)
-        assert not specfn.hull_dominates(hull, (0.5, 0.4))
+        assert hull_dominates(hull, (0.5, 0.5))
+        assert hull_dominates(hull, (0.5, 0.5 - 1e-13), slack=1e-12)
+        assert not hull_dominates(hull, (0.5, 0.4))
 
     @given(
         st.lists(
@@ -523,7 +507,29 @@ class TestHullDominates:
         hull = specfn.pareto_lower_hull(points)
         # the hull's own vertices hit segment ends exactly
         for p in probes + hull + points:
-            assert specfn.hull_dominates(hull, p, slack) == _hull_dominates_linear(hull, p, slack)
+            assert hull_dominates(hull, p, slack) == _hull_dominates_linear(hull, p, slack)
+
+
+def hull_dominates(hull, point, slack=0.0):
+    """True when some point on the hull polyline weakly dominates ``point``.
+
+    The reference for ``bss_system.hull_dominates_array``, with an absolute
+    slack.  ``hull`` must be sorted by x, as ``pareto_lower_hull`` returns it;
+    the segment under the point is found by bisection.  ``slack`` loosens the
+    comparison componentwise; a negative slack demands strict domination by
+    at least that margin.
+    """
+    px, py = point
+    reach = px + slack
+    if reach < hull[0][0]:
+        return False
+    k = bisect.bisect_right(hull, reach, key=itemgetter(0))
+    if k == len(hull):
+        # hull y-values decrease with x, so the last vertex is the least y
+        return hull[-1][1] <= py + slack
+    (x0, y0), (x1, y1) = hull[k - 1], hull[k]
+    t = (reach - x0) / (x1 - x0)
+    return y0 + t * (y1 - y0) <= py + slack
 
 
 def _hull_dominates_linear(hull, point, slack=0.0):
