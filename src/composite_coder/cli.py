@@ -67,7 +67,6 @@ SWEEP_CAP = 2**20  # --p-grid points: the row count of a grid-1025 region
 
 _NUMERIC_ERRORS = (
     specfn.ConvergenceError,
-    gaussian_system.NoSolutionError,
     ArithmeticError,
     ValueError,
 )

@@ -16,9 +16,10 @@ depends only on a = power*gamma_bar.  Every broadcast quantity is evaluated
 through these closed forms; tests check them against quadrature of the
 defining integrals and against a high-precision oracle.
 
-The threshold root is found by Newton's method in ln x, within a few ulps
-in about four evaluations; bisection is kept for a outside [2^-47, 2^1000],
-where Newton is not reliable.
+The threshold root is 1 - 2a below a = 2^-47, where the remainder is below
+rounding; above, it is found by one Newton iteration in ln x, within a few
+ulps in about four evaluations, written so that nothing overflows up to the
+float maximum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .channels import RayleighSystem
 
 __all__ = [
     "PowerProfile",
-    "NoSolutionError",
     "uncoded_state_distortion",
     "uncoded_expected_distortion",
     "outage_separation_distortion",
@@ -49,15 +49,11 @@ _E1_HALF = specfn.exp_integral(0.5)
 _EXP_HALF = math.exp(-0.5)
 # gamma_bar * I(x * gamma_bar) = (C - ln x) / x + O(1) as x -> 0+
 _SEED_C = _EXP_HALF - 1.0 - _E1_HALF - specfn.EULER_GAMMA + math.log(2.0)
-# the range of a on which the threshold is found by Newton
-_NEWTON_MIN, _NEWTON_MAX = 2.0**-47, 2.0**1000
-# below this a, bc_expected_distortion's closed form may cancel to sigma2
+# below this a, the threshold ratio is 1 - 2a to rounding
+_CLOSED_FORM_SNR = 2.0**-47
+# below this a, bc_expected_distortion's closed form may cancel to 1
 _CANCELLING_SNR = 2.0**-40
 _EXP_M1 = math.exp(-1.0)
-
-
-class NoSolutionError(ValueError):
-    """The requested operating point is outside the achievable range."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +117,12 @@ def optimal_outage_for_distortion(sys: RayleighSystem) -> tuple[float, float]:
     """Distortion-minimizing outage probability and its expected MSE.
 
     Closed form q* = 1 - exp(-2 / (1 + sqrt(1 + 4a))), a = power*gamma_bar;
-    it agrees with the numeric minimizer to 1e-6.
+    it agrees with the numeric minimizer to 1e-6.  sqrt(1 + 4a) is computed
+    as 2 sqrt(a + 1/4), the same bits wherever 4a is finite, and finite
+    up to the float maximum.
     """
     a = sys.snr_scale
-    q_star = -math.expm1(-2.0 / (1.0 + math.sqrt(1.0 + 4.0 * a)))
+    q_star = -math.expm1(-2.0 / (1.0 + 2.0 * math.sqrt(a + 0.25)))
     return q_star, outage_separation_distortion(sys, q_star)
 
 
@@ -172,76 +170,50 @@ def bc_interference(sys: RayleighSystem, gamma: float) -> float:
     return _scaled_interference(gamma / gbar) / gbar
 
 
-def _newton_ratio(a: float) -> float:
-    """The threshold ratio for a by Newton in ln x; outside (0, 1) if it fails.
+def _threshold_ratio(a: float) -> float:
+    """The x in (0, 1] with gamma_bar * I(x * gamma_bar) = a, for finite a > 0.
 
-    The seed is the root of the surrogate (1 - x) * k(x) = a * x with
+    Below a = 2^-47 this is 1 - 2a: the O(a^2) remainder is below rounding,
+    and at and below 2^-55 the result is 1.0, the correctly rounded root.
+    Above, the seed is the root of the surrogate (1 - x) * k(x) = a * x with
     k(x) = C + (1/2 - C) * sqrt(x) - ln x, which has the interference's
     limits at 0+ and 1-; a few fixed-point steps find it to a few percent.
-    Newton then runs in ln x, using f'(x) = -(1/x - 1/2) * (1/x + f(x)), so
-    no evaluation beyond f itself is needed.  It stops after a step below
-    2e-16, or before a step that is no smaller than the last one, which is
-    rounding noise; 0 means it left (0, 1) or did not stop in 12 steps.
+    Newton then runs in ln x on f(x) = a, using f'(x) = -(1/x - 1/2) *
+    (1/x + f(x)), through w = x * f(x) = N(x) * exp(x/2), N the numerator:
+    for x in (0, 1) neither w (at most about 750) nor x * a can overflow.
+    It stops after a step below 2e-16, or before a step that is no smaller
+    than the last one, which is rounding noise.
     """
-    x = 1.0 / (1.0 + 2.0 * a)
+    if a < _CLOSED_FORM_SNR:
+        return 1.0 - 2.0 * a
+    x = 0.5 / (0.5 + a)
     for _ in range(4):
         x = 1.0 / (1.0 + a / (_SEED_C + (0.5 - _SEED_C) * math.sqrt(x) - math.log(x)))
     last = math.inf
     for _ in range(12):
-        level = _scaled_interference(x) if 0.0 < x < 1.0 else 0.0
-        if not level > 0.0:
-            return 0.0
-        step = math.log(level / a) * level / ((1.0 - 0.5 * x) * (1.0 / x + level))
+        w = _numerator(x) * math.exp(0.5 * x)
+        step = math.log(w / (x * a)) * w / ((1.0 - 0.5 * x) * (1.0 + w))
         if not abs(step) < last:
             return x
         x *= math.exp(step)
+        if not 0.0 < x < 1.0:
+            raise ArithmeticError(f"threshold Newton left (0, 1) at power*gamma_bar {a}")
         if abs(step) < 2e-16:
             return x
         last = abs(step)
-    return 0.0
-
-
-def _threshold_ratio(a: float) -> float:
-    """The x in (0, 1) with gamma_bar * I(x * gamma_bar) = a.
-
-    On [_NEWTON_MIN, _NEWTON_MAX] this is ``_newton_ratio``.  Below that
-    range the interference's rounding error rivals a, above it the
-    interference nears overflow, so there, and wherever Newton fails, the
-    root is bisected instead: the lower end is halved down from 1/2 until it
-    straddles the root, and if the interference overflows first, a is out of
-    range; the bracket is then bisected to a relative width of 4.5e-16
-    (about two ulps; a tighter relative stop can never be met) or until the
-    midpoint repeats an endpoint.
-    """
-    if _NEWTON_MIN <= a <= _NEWTON_MAX:
-        x = _newton_ratio(a)
-        if 0.0 < x < 1.0:
-            return x
-    lo, hi = 0.5, 1.0
-    while (level := _scaled_interference(lo)) < a:
-        hi, lo = lo, 0.5 * lo
-    if math.isinf(level):
-        raise NoSolutionError(
-            f"power*gamma_bar {a} exceeds the representable interference range"
-        )
-    while hi - lo > 4.5e-16 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if _scaled_interference(mid) < a:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    raise ArithmeticError(f"threshold Newton did not settle at power*gamma_bar {a}")
 
 
 def bc_power_threshold(sys: RayleighSystem) -> float:
     """Gain threshold at which the layered allocation exhausts the power budget.
 
     Solves interference(g) = power for g = x * gamma_bar, where x depends
-    only on a = power*gamma_bar.
+    only on a = power*gamma_bar; a product that overflows is rejected.
     """
-    return _threshold_ratio(sys.snr_scale) * sys.gamma_bar
+    a = sys.snr_scale
+    if math.isinf(a):
+        raise ValueError(f"power*gamma_bar overflows: {sys.power} * {sys.gamma_bar}")
+    return _threshold_ratio(a) * sys.gamma_bar
 
 
 def _distortion_to_go(sys: RayleighSystem, gamma: float) -> float:
@@ -265,21 +237,22 @@ def bc_expected_distortion(sys: RayleighSystem) -> float:
 
     With a = power*gamma_bar the exact value is sigma2 * (1 - g), where the
     gap g = (a - a^2 + O(a^3)) / e stays below a/e (checked against a
-    40-digit oracle).  Below a = 2^-40 the closed form cancels to sigma2
-    or above before the gap shows, so there the gap's leading terms are used
-    instead.  A result equal to sigma2 is accepted only where sigma2 * a/e
-    is at most half the spacing below sigma2, that is, where sigma2 is the
-    correctly rounded value.
+    40-digit oracle).  Below a = 2^-40 the closed form may cancel to 1 or
+    above before the gap shows, so there the gap's leading terms are used
+    instead.  The normalized value 1 - g is checked against (0, 1); 1 is
+    accepted only where a/e is at most half the spacing below 1, that is,
+    where 1 is the correctly rounded value.  Scaling by sigma2 comes last,
+    so a product that underflows to 0 is returned as the rounded value.
     """
-    gamma_p = bc_power_threshold(sys)
-    sigma2, a = sys.sigma2, sys.snr_scale
-    value = sigma2 * (_distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar)))
-    if value >= sigma2 and a < _CANCELLING_SNR:
-        value = sigma2 * (1.0 - (a - a * a) * _EXP_M1)
-    rounds_to_sigma2 = sigma2 * (a * _EXP_M1) <= 0.5 * (sigma2 - math.nextafter(sigma2, 0.0))
-    if not (0.0 < value < sigma2 or (value == sigma2 and rounds_to_sigma2)):
-        raise ArithmeticError(f"expected distortion {value} outside (0, sigma2)")
-    return value
+    a = sys.snr_scale
+    if a < _CANCELLING_SNR:
+        normalized = 1.0 - (a - a * a) * _EXP_M1
+    else:
+        gamma_p = bc_power_threshold(sys)
+        normalized = _distortion_to_go(sys, gamma_p) + (-math.expm1(-gamma_p / sys.gamma_bar))
+    if not (0.0 < normalized < 1.0 or (normalized == 1.0 and a * _EXP_M1 <= 2.0**-54)):
+        raise ArithmeticError(f"normalized expected distortion {normalized} outside (0, 1)")
+    return sys.sigma2 * normalized
 
 
 def bc_rate_profile(profile: PowerProfile, gamma: float) -> float:
@@ -302,6 +275,9 @@ def bc_rate_profile(profile: PowerProfile, gamma: float) -> float:
 
 def bc_optimal_profile(sys: RayleighSystem) -> PowerProfile:
     """The distortion-optimal power profile, supported on [gamma_P, gamma_bar].
+
+    Where the threshold ratio rounds to 1 (power*gamma_bar at or below about
+    2^-55) the support is empty and ``PowerProfile`` raises ``ValueError``.
 
     The density is the quotient-rule derivative of the interference closed
     form, so rate integrals over the profile avoid finite-difference noise.

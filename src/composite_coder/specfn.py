@@ -240,11 +240,24 @@ def scaled_exp_integral(x: float) -> float:
 
 
 def lambert_w(z: float) -> float:
-    """Principal branch of w*exp(w) = z for z >= 0, by Halley's iteration."""
+    """Principal branch of w*exp(w) = z for z >= 0, by Halley's iteration.
+
+    Above z = 1e300, where exp(w) nears overflow, Newton solves the log form
+    w + ln w = ln z instead (Corless et al., Adv. Comput. Math. 5, 1996).
+    """
     if z < 0.0:
         raise ValueError(f"argument must be nonnegative, got {z}")
     if z == 0.0:
         return 0.0
+    if z > 1e300:
+        logz = math.log(z)
+        w = logz - math.log(logz)
+        for _ in range(8):
+            step = (w + math.log(w) - logz) * w / (1.0 + w)
+            w -= step
+            if abs(step) <= 1e-16 * w:
+                break
+        return w
     if z < math.e:
         w = z / (1.0 + z)
     else:

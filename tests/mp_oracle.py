@@ -95,11 +95,12 @@ def broadcast_threshold(a, seed):
     (x exp(-x/2)), by Newton in ln x using d ln f / d ln x =
     -(1 - x/2)(1/x + f) / f.  The stop is on the step in ln x, which is x's
     relative change: ln x itself nears 0 with a.  De / sigma2 is
-    D(x) + 1 - exp(-x), as in ``bc_expected_distortion``.
+    D(x) + 1 - exp(-x), as in ``bc_expected_distortion``.  A seed of 1,
+    the float root for a below about 2^-55, starts from 1 - 2a instead.
     """
     with mpmath.workdps(THRESHOLD_DPS):
         a, half = mpmath.mpf(a), mpmath.mpf(1) / 2
-        x = mpmath.mpf(seed)
+        x = mpmath.mpf(seed) if seed < 1 else 1 - 2 * a
         for _ in range(40):
             num = (mpmath.exp(-half) - mpmath.exp(-x / 2)) - (mpmath.e1(half) - mpmath.e1(x / 2))
             level = num / (x * mpmath.exp(-x / 2))

@@ -480,6 +480,9 @@ _MENDED_INPUTS = [
     ["gaussian-compare", "--p-grid=3e-19,1.0"],
     ["gaussian-compare", "--p-grid=1e-16,2e-16,3e-16,1.0"],
     ["gaussian-compare", "--p-grid=1e-300,1.0"],
+    ["gaussian-compare", "--p-grid=1,1.7e308"],
+    ["gaussian-compare", "--p-grid=1,1.7976931348623157e308"],
+    ["gaussian-compare", "--sigma2=1e-300", "--gamma-bar=1e-5", "--p-grid=1e300,1e301"],
 ]
 
 
@@ -490,7 +493,9 @@ class TestConfigSpace:
     # alphas a turning-point bracket without the root, a huge sigma2 an inf
     # cell, P*gamma_bar below about 4e-16 a broadcast distortion rejected at
     # sigma2, P*gamma_bar = 1e-300 an E1 continued fraction that stalls, and
-    # a huge sigma2 in mc uncoded-gaussian inf/nan statistics
+    # a huge sigma2 in mc uncoded-gaussian inf/nan statistics, P*gamma_bar
+    # above 1.2e308 a refused power threshold, and a broadcast distortion
+    # that underflows to 0 a refused table
     @example(_MENDED_INPUTS[0])
     @example(_MENDED_INPUTS[1])
     @example(_MENDED_INPUTS[2])
@@ -498,6 +503,9 @@ class TestConfigSpace:
     @example(_MENDED_INPUTS[4])
     @example(_MENDED_INPUTS[5])
     @example(_MENDED_INPUTS[6])
+    @example(_MENDED_INPUTS[7])
+    @example(_MENDED_INPUTS[8])
+    @example(_MENDED_INPUTS[9])
     @example(_MC_OVERFLOW_INPUTS[0])
     @example(_MC_OVERFLOW_INPUTS[1])
     def test_every_config_exits_cleanly(self, argv):
@@ -678,6 +686,15 @@ class TestGaussianCompare:
         for row in rows:
             _, uncoded, outage, broadcast = map(float, row)
             assert uncoded < broadcast < outage
+
+    def test_cells_near_the_float_maximum(self, capsys):
+        # 50-digit values: the outage cells once printed 1 above a = 4.49e307,
+        # where 1 + 4a overflowed; the broadcast cell is the 45-digit
+        # oracle's, rounded to 12 digits
+        _, out, _ = run_cli(["gaussian-compare", "--p-grid", "1,4.6e307,1.7e308"], capsys)
+        _, _, rows = parse_csv(out)
+        assert [row[2] for row in rows[1:]] == ["2.9488391231e-154", "1.53392997769e-154"]
+        assert rows[2][3] == "2.90987813958e-303"
 
 
 class TestBssRegion:

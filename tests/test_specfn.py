@@ -288,6 +288,17 @@ class TestLambertW:
             w = specfn.lambert_w(z)
             assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, z)
 
+    def test_near_the_float_maximum(self):
+        # Halley's iteration through exp(w) once returned 701.48169 at
+        # z = 3.16e307, 1.3e-5 relative below the root
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        zs = [10.0 ** rng.uniform(300.0, 308.25) for _ in range(200)]
+        zs += [1e300, math.nextafter(1e300, math.inf), 2.76e307, 3.16e307, sys.float_info.max]
+        for z in zs:
+            exact = mp.lambertw(mp.mpf(z))
+            assert abs(specfn.lambert_w(z) / exact - 1) <= 1e-15, z
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfn.lambert_w(-0.5)
