@@ -18,9 +18,11 @@ which gives each trial the same numbers, and each report the same bits, as
 a loop of single trials.  A chunk holds as many trials as keep each of its
 temporaries within _CHUNK_BYTES (256 KiB, 2^15 float64); a trial larger
 than that runs in a chunk of its own and draws its codewords in the blocks
-of a codebook draw.  The superposition code's cloud
-codebook scan stays per trial: batched and column-wise forms of that
-memory-bound scan were measured no faster.  Bernoulli bits come from raw
+of a codebook draw.  The superposition code's cloud codebook scan stays per
+trial (ROADMAP item 5): on a 2-vCPU Xeon VM a column-wise scan took 90-144
+against 312-315 us at 20,719 words (m = 256) and 32-35 against 19-28 us at
+1,933, and one call over 64 trials 0.4-0.6 against 4-7.5 us a trial at 144
+words (m = 64).  Bernoulli bits come from raw
 Philox words without forming doubles: numpy's double is
 (raw >> 11) * 2^-53, so for p < 1, ``random() < p`` holds exactly when
 raw < ceil(p * 2^53) << 11, and every double lies below p >= 1.

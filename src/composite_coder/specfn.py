@@ -1,7 +1,8 @@
 """Scalar special functions and numerical primitives.
 
-Everything here is pure and reentrant: no module state is mutated after
-import, so all functions are safe to call concurrently.
+Everything here is pure and reentrant: the only module state is
+``integrate``'s node tables, each built once on first use and never changed
+after, so all functions are safe to call concurrently.
 
 Conventions that the rest of the package relies on:
 
@@ -18,6 +19,7 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -336,6 +338,25 @@ def minimize_scalar(
     return best_x, best_f
 
 
+@functools.cache
+def _de_nodes(level: int, finite: bool) -> tuple[tuple[float, float, float], ...]:
+    """integrate's per-node constants at step h = 2^-level, the new t = k h only.
+
+    With u = (pi/2) sinh t: (e^u cosh u, cosh t, cosh^2 u) for tanh-sinh and
+    (e^u, e^-u, (pi/2) cosh t) for exp-sinh.  They depend on the level alone,
+    so each table is built on first use and shared by every later call.
+    """
+    h = 0.5**level
+    rows = []
+    for k in range(1, int(_DE_T_MAX / h) + 1, 2 if level else 1):
+        t = k * h
+        e = math.exp(_HALF_PI * math.sinh(t))
+        cu = 0.5 * (e + 1.0 / e)
+        ct = math.cosh(t)
+        rows.append((e * cu, ct, cu * cu) if finite else (e, 1.0 / e, _HALF_PI * ct))
+    return tuple(rows)
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -353,7 +374,8 @@ def integrate(
     - exp-sinh on [a, inf), with nodes a + e^u and a + e^-u and weights
       (pi/2) cosh t times the same e^u and e^-u.
 
-    The step halves from 1, adding the new nodes to the sum so far, until
+    The step halves from 1, adding the new nodes to the sum so far (their
+    constants come from ``_de_nodes``, tabulated per level on first use), until
     two successive sums differ by at most max(tol, _DE_REL_FLOOR * |sum|).
     Nodes come within 1e-37 d of an endpoint at 0, so f may have an
     integrable singularity of order up to 1/2 there; at any other finite
@@ -368,30 +390,26 @@ def integrate(
         return 0.0
     if a > b:
         return -integrate(f, b, a, tol=tol)
-    if math.isinf(b):
-        center = f(a + 1.0) * _HALF_PI
-
-        def pair(t: float) -> float:
-            e = math.exp(_HALF_PI * math.sinh(t))
-            return (f(a + e) * e + f(a + 1.0 / e) / e) * (_HALF_PI * math.cosh(t))
-
-    else:
+    finite = not math.isinf(b)
+    if finite:
         d = 0.5 * (b - a)
-        center = f(a + d) * (_HALF_PI * d)
-
-        def pair(t: float) -> float:
-            eu = math.exp(_HALF_PI * math.sinh(t))
-            cu = 0.5 * (eu + 1.0 / eu)
-            delta = d / (eu * cu)
-            return (f(a + delta) + f(b - delta)) * (_HALF_PI * d * math.cosh(t) / (cu * cu))
-
-    total, estimate, h, stride = center, math.nan, 1.0, 1
-    for _ in range(_DE_LEVELS + 1):
-        total += sum(pair(k * h) for k in range(1, int(_DE_T_MAX / h) + 1, stride))
+        hd = _HALF_PI * d
+        center = f(a + d) * hd
+    else:
+        center = f(a + 1.0) * _HALF_PI
+    total, estimate, h = center, math.nan, 1.0
+    for level in range(_DE_LEVELS + 1):
+        nodes = _de_nodes(level, finite)
+        if finite:
+            total += sum(
+                (f(a + (delta := d / ec)) + f(b - delta)) * (hd * ct / c2) for ec, ct, c2 in nodes
+            )
+        else:
+            total += sum((f(a + e) * e + f(a + ie) / e) * w for e, ie, w in nodes)
         value = h * total
         if abs(value - estimate) <= max(tol, _DE_REL_FLOOR * abs(value)):
             return value
-        estimate, h, stride = value, 0.5 * h, 2
+        estimate, h = value, 0.5 * h
     raise ConvergenceError(f"double-exponential quadrature did not settle in {_DE_LEVELS} halvings")
 
 

@@ -667,8 +667,10 @@ class TestImports:
         env = {**os.environ, "PYTHONPATH": src}
         script = (
             "import contextlib, io, sys\n"
-            "from composite_coder import cli\n"
+            "from composite_coder import cli, specfn\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert specfn._de_nodes.cache_info().currsize == 0, 'node table at import'\n"
+            "assert cli._build_parser.cache_info().currsize == 0, 'parser at import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['gaussian-compare']) == 0\n"
             "assert 'numpy' not in sys.modules, 'run'\n"
@@ -1056,6 +1058,55 @@ class TestFrontierOracle:
             scheme_pair, _, value = line.partition("@")
             assert scheme_pair == pair
             assert value in spellings, (line, spellings)
+
+
+class TestParserReuse:
+    def test_early_exits_leave_no_state_for_later_calls(self, capsys):
+        # the parser is built once per process; calls that fail or exit inside
+        # argparse, or just after it, must not change what later calls print
+        early = [
+            (["gaussian-compare", "--gamma-bar", "2", "--grid", "x"], cli.EXIT_CONFIG),
+            (["gaussian-compare", "--format", "xml"], cli.EXIT_CONFIG),
+            (["no-such-command"], cli.EXIT_CONFIG),
+            (["--help"], cli.EXIT_OK),
+            (["mc", "--help"], cli.EXIT_OK),
+            (["mc"], cli.EXIT_CONFIG),
+            (["mc", "--trials", "3"], cli.EXIT_CONFIG),
+        ]
+        for argv, expected in early:
+            code, out, err = run_cli(argv, capsys)
+            assert code == expected, (argv, err)
+            assert ("usage: composite-coder" in out) == (expected == cli.EXIT_OK)
+        parser = cli._build_parser()
+        for argv in ("selfcheck", "gaussian-compare"):
+            code, out, _ = run_cli([argv], capsys)
+            assert code == cli.EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_GAUSSIAN_SHA256[argv]
+        assert cli._build_parser() is parser
+        assert cli._build_parser.cache_info().currsize == 1
+
+
+class TestSelfcheckRoundtrip:
+    def test_one_array_inversion_equals_the_scalar_inverse(self, monkeypatch):
+        rates = [0.05 * i for i in range(1, 20)]
+        expected = [specfn.inverse_binary_entropy(r) for r in rates]
+        calls = []
+        inverse = specfn._inverse_entropy
+
+        def recorded(t, rate):
+            p = inverse(t, rate)
+            calls.append((t.tolist(), rate.tolist(), p.tolist()))
+            return p
+
+        monkeypatch.setattr(specfn, "_inverse_entropy", recorded)
+        results = cli._selfcheck_results()
+        assert ("entropy-roundtrip", True) in [(name, ok) for name, ok, _ in results]
+        # later checks invert through bss_distortion_rate; the roundtrip is one call
+        roundtrip = [call for call in calls if call[0] == rates]
+        assert len(roundtrip) == 1
+        _, rate, p = roundtrip[0]
+        assert rate == [1.0 - r for r in rates]
+        assert p == expected
 
 
 class TestPinnedBytes:
