@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`composite_coder.specfn`: scalar special functions and the binary
-  entropy inverse (one numpy routine for scalars and arrays), root finding,
-  quadrature, scalar minimization, Pareto hulls.
+  entropy inverse (one numpy routine for scalars and arrays), quadrature,
+  golden-section minimization, Pareto hulls.
 - :mod:`composite_coder.channels`: channel models and capacity metrics
   (capacity versus outage, outage capacity, expected capacity).
 - :mod:`composite_coder.gaussian_system`: Gaussian source over a slow

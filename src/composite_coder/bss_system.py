@@ -60,10 +60,8 @@ __all__ = [
     "COMPARED_FAMILIES",
     "SchemeEvaluation",
     "LayeredSweep",
-    "WynerZivCurve",
     "Crossover",
     "FrontierResult",
-    "wyner_ziv_curve",
     "wyner_ziv_turning_point",
     "wyner_ziv_rate",
     "wyner_ziv_distortion",
@@ -127,22 +125,6 @@ class SchemeEvaluation:
             )
         if self.kt < 0.0 or self.kr < 0.0:
             raise AssertionError(f"negative interface complexity for {self.scheme}")
-
-
-@dataclass(frozen=True)
-class WynerZivCurve:
-    """Side-information rate-distortion curve data for one BSC crossover.
-
-    ``dc`` is the time-sharing turning point: the tangent to
-    g(d) = h(alpha conv d) - h(d) at dc passes through (alpha, 0).
-    """
-
-    alpha: float
-    dc: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dc < self.alpha:
-            raise ValueError(f"turning point {self.dc} outside (0, {self.alpha})")
 
 
 def _g(d: float, alpha: float) -> float:
@@ -216,14 +198,6 @@ def wyner_ziv_turning_point(alpha: float) -> float:
         max(alpha * alpha / math.e, 2.0 * alpha - 0.5),
         alpha,
     )
-
-
-def wyner_ziv_curve(alpha: float) -> WynerZivCurve:
-    curve = WynerZivCurve(alpha=alpha, dc=wyner_ziv_turning_point(alpha))
-    residual = _g(curve.dc, alpha) / (curve.dc - alpha) - _g_prime(curve.dc, alpha)
-    if abs(residual) > 1e-8:
-        raise ArithmeticError(f"turning-point identity residual {residual} too large")
-    return curve
 
 
 def wyner_ziv_rate(d: float, alpha: float) -> float:

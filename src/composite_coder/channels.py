@@ -172,19 +172,31 @@ def bsc_bc_rate_region(ch: CompositeBsc, beta: float) -> RatePair:
     return RatePair(r1=max(r1, 0.0), r2=max(r2, 0.0))
 
 
-def bsc_expected_capacity(ch: CompositeBsc, grid: int = 1024) -> tuple[float, float]:
+def bsc_expected_capacity(ch: CompositeBsc) -> tuple[float, float]:
     """Maximum state-averaged rate over the broadcast boundary, with maximizer.
 
-    Maximizes (1-p)*(r1+r2) + p*r2 over beta in [0, 1/2] by a grid scan of at
-    least ``grid`` points followed by golden-section refinement.  Returns
+    Maximizes (1-p)*(r1+r2) + p*r2 = (1-p)*r1 + r2 over beta in [0, 1/2] by
+    golden section, which finds the maximum because the objective is
+    unimodal.  With t = 1/2 - beta and c_i = 1 - 2 alpha_i, so c1 > c2 > 0,
+    its slope in beta is (2/ln 2) * [(1-p) c1 atanh(2 c1 t) - c2 atanh(2 c2 t)].
+    That is positive iff (1-p) c1/c2 > R(t) = atanh(2 c2 t)/atanh(2 c1 t), and
+    d ln R/dt = (phi(2 c2 t) - phi(2 c1 t))/t with phi(y) = y/((1-y^2) atanh y).
+    Since (1-y^2) atanh(y)/y = 1 - sum_k (1/(2k-1) - 1/(2k+1)) y^(2k), phi is
+    increasing, so R increases in beta: the slope changes sign at most once,
+    from positive to negative.
+
+    Golden section evaluates interior points only.  At beta = 1/2 the slope
+    is 0, but at beta = 0 it can be steep (about -20 bits per unit beta at
+    alpha2 = 1e-6, p = 1), so that endpoint is compared directly.  Returns
     (expected capacity in bits per use, maximizing beta).
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
 
     def negated(beta: float) -> float:
         rates = bsc_bc_rate_region(ch, beta)
         return -((1.0 - ch.p) * (rates.r1 + rates.r2) + ch.p * rates.r2)
 
-    beta_star, neg_value = specfn.minimize_scalar(negated, 0.0, 0.5, tol=1e-12, grid=grid)
+    beta_star, neg_value = specfn.golden_section(negated, 0.0, 0.5, tol=1e-12)
+    at_zero = negated(0.0)
+    if at_zero < neg_value:
+        return -at_zero, 0.0
     return -neg_value, beta_star

@@ -564,9 +564,9 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 
     worst = 0.0
     for alpha in (0.25, 0.45):
-        curve = bss_system.wyner_ziv_curve(alpha)
-        lhs = bss_system._g(curve.dc, alpha) / (curve.dc - alpha)
-        worst = max(worst, abs(lhs - bss_system._g_prime(curve.dc, alpha)))
+        dc = bss_system.wyner_ziv_turning_point(alpha)
+        lhs = bss_system._g(dc, alpha) / (dc - alpha)
+        worst = max(worst, abs(lhs - bss_system._g_prime(dc, alpha)))
     check("wyner-ziv-turning-identity", worst <= 1e-8, f"max residual = {worst:.2e}")
 
     # the rho = 0 column of a residue-splitting mesh against broadcast on its beta grid

@@ -25,14 +25,11 @@ float maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from . import specfn
 from .channels import RayleighSystem
 
 __all__ = [
-    "PowerProfile",
     "uncoded_state_distortion",
     "uncoded_expected_distortion",
     "outage_separation_distortion",
@@ -41,8 +38,6 @@ __all__ = [
     "bc_interference",
     "bc_power_threshold",
     "bc_expected_distortion",
-    "bc_rate_profile",
-    "bc_optimal_profile",
 ]
 
 _E1_HALF = specfn.exp_integral(0.5)
@@ -54,32 +49,6 @@ _CLOSED_FORM_SNR = 2.0**-47
 # below this a, bc_expected_distortion's closed form may cancel to 1
 _CANCELLING_SNR = 2.0**-40
 _EXP_M1 = math.exp(-1.0)
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """Superposition power allocation described by its interference level.
-
-    ``interference(g)`` is the total power of layers intended for gains above
-    g; it is nonincreasing on [gamma_lo, gamma_hi] with
-    interference(gamma_lo) = total_power and interference(gamma_hi) = 0.
-    ``density`` is the layer power density -dI/dg.
-    """
-
-    gamma_lo: float
-    gamma_hi: float
-    interference: Callable[[float], float]
-    total_power: float
-    density: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma_lo < self.gamma_hi:
-            raise ValueError("need 0 < gamma_lo < gamma_hi")
-        if self.total_power <= 0.0:
-            raise ValueError("total_power must be positive")
-
-    def power_density(self, g: float) -> float:
-        return max(0.0, self.density(g))
 
 
 def uncoded_state_distortion(sys: RayleighSystem, gamma: float) -> float:
@@ -149,18 +118,13 @@ def _scaled_interference(x: float) -> float:
     return _numerator(x) / (x * math.exp(-0.5 * x))
 
 
-def _interference_numerator(sys: RayleighSystem, gamma: float) -> float:
-    """int_{gamma_bar}^{gamma} (1/(2 gamma_bar) - 1/u) exp(-u/(2 gamma_bar)) du."""
-    return _numerator(gamma / sys.gamma_bar)
-
-
 def bc_interference(sys: RayleighSystem, gamma: float) -> float:
     """Residual interference level of the optimal layered allocation.
 
-    Defined for 0 < gamma <= gamma_bar as the ratio of the integral
-    ``_interference_numerator`` over (gamma, gamma_bar] to
-    gamma * exp(-gamma/(2 gamma_bar)); it decreases from +infinity at 0+ to
-    zero at gamma_bar.
+    Defined for 0 < gamma <= gamma_bar as the ratio of the integral of
+    (1/u - 1/(2 gamma_bar)) * exp(-u/(2 gamma_bar)) over (gamma, gamma_bar]
+    to gamma * exp(-gamma/(2 gamma_bar)); it decreases from +infinity at 0+
+    to zero at gamma_bar.
     """
     gbar = sys.gamma_bar
     if not 0.0 < gamma <= gbar:
@@ -253,58 +217,3 @@ def bc_expected_distortion(sys: RayleighSystem) -> float:
     if not (0.0 < normalized < 1.0 or (normalized == 1.0 and a * _EXP_M1 <= 2.0**-54)):
         raise ArithmeticError(f"normalized expected distortion {normalized} outside (0, 1)")
     return sys.sigma2 * normalized
-
-
-def bc_rate_profile(profile: PowerProfile, gamma: float) -> float:
-    """Cumulative decodable rate (nats/use) at gain gamma under a profile.
-
-    Integrates u*rho(u)/(1 + u*I(u)) over the profile support below gamma;
-    gains beyond the support saturate at the full rate.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"channel gain must be nonnegative, got {gamma}")
-    upper = min(gamma, profile.gamma_hi)
-    if upper <= profile.gamma_lo:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        return u * profile.power_density(u) / (1.0 + u * profile.interference(u))
-
-    return specfn.integrate(integrand, profile.gamma_lo, upper, tol=1e-10)
-
-
-def bc_optimal_profile(sys: RayleighSystem) -> PowerProfile:
-    """The distortion-optimal power profile, supported on [gamma_P, gamma_bar].
-
-    Where the threshold ratio rounds to 1 (power*gamma_bar at or below about
-    2^-55) the support is empty and ``PowerProfile`` raises ``ValueError``.
-
-    The density is the quotient-rule derivative of the interference closed
-    form, so rate integrals over the profile avoid finite-difference noise.
-    """
-    gbar = sys.gamma_bar
-    gamma_p = bc_power_threshold(sys)
-
-    def interference(g: float) -> float:
-        if g >= gbar:
-            return 0.0
-        if g <= gamma_p:
-            return sys.power
-        return bc_interference(sys, g)
-
-    def density(g: float) -> float:
-        if not gamma_p <= g <= gbar:
-            return 0.0
-        num = _interference_numerator(sys, g)
-        den = g * math.exp(-g / (2.0 * gbar))
-        dnum = (1.0 / (2.0 * gbar) - 1.0 / g) * math.exp(-g / (2.0 * gbar))
-        dden = math.exp(-g / (2.0 * gbar)) * (1.0 - g / (2.0 * gbar))
-        return (num * dden - dnum * den) / (den * den)
-
-    return PowerProfile(
-        gamma_lo=gamma_p,
-        gamma_hi=gbar,
-        interference=interference,
-        total_power=sys.power,
-        density=density,
-    )

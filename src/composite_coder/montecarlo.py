@@ -389,8 +389,6 @@ def simulate_superposition_bc(
     ch: CompositeBsc,
     beta: float,
     rates: RatePair,
-    slack_base: float = RADIUS_SLACK_BASE,
-    slack_good: float = RADIUS_SLACK_GOOD,
 ) -> tuple[TrialReport, TrialReport]:
     """Block-error rates of the two-layer superposition code, per state.
 
@@ -406,8 +404,8 @@ def simulate_superposition_bc(
     decodes trivially since it carries no information):
 
     - bad state: w2 is the unique U-index within fractional radius
-      (alpha2 conv beta) + slack_base of the output;
-    - good state: w2 as above at radius (alpha1 conv beta) + slack_good,
+      (alpha2 conv beta) + RADIUS_SLACK_BASE of the output;
+    - good state: w2 as above at radius (alpha1 conv beta) + RADIUS_SLACK_GOOD,
       then the U word is stripped and w1 is the nearest Q-codeword.  Nearest
       rather than within-radius decoding is used for the cloud layer because
       a plain Hamming ball cannot support the cloud rate, even
@@ -428,8 +426,8 @@ def simulate_superposition_bc(
     messages = _stream(cfg.seed, 2)
     base_books = _stream(cfg.seed, 3)
 
-    radius_bad = int(math.floor((specfn.binary_convolve(ch.alpha2, beta) + slack_base) * m + 1e-9))
-    radius_good = int(math.floor((specfn.binary_convolve(ch.alpha1, beta) + slack_good) * m + 1e-9))
+    radius_bad = int(math.floor((specfn.binary_convolve(ch.alpha2, beta) + RADIUS_SLACK_BASE) * m + 1e-9))
+    radius_good = int(math.floor((specfn.binary_convolve(ch.alpha1, beta) + RADIUS_SLACK_GOOD) * m + 1e-9))
 
     ball_failures = {"bad_u": 0, "good_u": 0, "good_q_tie": 0}
     err_good = np.empty(cfg.trials)

@@ -38,7 +38,6 @@ __all__ = [
     "scaled_exp_integral",
     "lambert_w",
     "golden_section",
-    "minimize_scalar",
     "integrate",
     "pareto_lower_hull",
 ]
@@ -303,39 +302,6 @@ def golden_section(
             d = lo + _INV_PHI * h
             fd = f(d)
     return (d, fd) if fd < fc else (c, fc)
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    grid: int = 1024,
-) -> tuple[float, float]:
-    """Minimize f on [lo, hi]: grid scan, then ``golden_section`` around its best point.
-
-    The scan uses at least 1024 points so narrow basins of a multimodal f
-    are not missed; golden section then refines the two cells beside the
-    best scanned point.  The returned pair is (argmin, min) for the best
-    point encountered, the scanned point winning ties.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    n = max(int(grid), 1024)
-    step = (hi - lo) / n
-    best_i, best_x, best_f = 0, lo, f(lo)
-    for i in range(1, n + 1):
-        x = lo + i * step
-        fx = f(x)
-        if fx < best_f:
-            best_i, best_x, best_f = i, x, fx
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n) * step
-    if b - a > tol:
-        x, fx = golden_section(f, a, b, tol)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
 
 
 @functools.cache

@@ -49,15 +49,13 @@ def test_criterion_01_closed_forms_match_numeric_optimizers():
     for scale in SNR_SCALES:
         sys = RayleighSystem(sigma2=1.0, power=scale, gamma_bar=1.0)
         closed_d, _ = gs.optimal_outage_for_distortion(sys)
-        numeric_d, _ = specfn.minimize_scalar(
-            lambda q: gs.outage_separation_distortion(sys, q),
-            1e-9, 1.0 - 1e-9, tol=1e-9, grid=8192,
+        numeric_d, _ = specfn.golden_section(
+            lambda q: gs.outage_separation_distortion(sys, q), 1e-9, 1.0 - 1e-9, tol=1e-9
         )
         worst_d = max(worst_d, abs(closed_d - numeric_d))
         closed_c = optimal_outage_for_capacity(sys)
-        numeric_c, _ = specfn.minimize_scalar(
-            lambda q: -outage_capacity_rayleigh(sys, q),
-            1e-9, 1.0 - 1e-9, tol=1e-9, grid=8192,
+        numeric_c, _ = specfn.golden_section(
+            lambda q: -outage_capacity_rayleigh(sys, q), 1e-9, 1.0 - 1e-9, tol=1e-9
         )
         worst_c = max(worst_c, abs(closed_c - numeric_c))
     assert worst_d <= 1e-6

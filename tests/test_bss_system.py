@@ -157,8 +157,10 @@ class TestWynerZivCurve:
             assert abs(below - above) <= 1e-9
 
     def test_curve_object_validates(self):
-        curve = bss.wyner_ziv_curve(0.25)
-        assert 0.0 < curve.dc < curve.alpha
+        alpha = 0.25
+        dc = bss.wyner_ziv_turning_point(alpha)
+        assert 0.0 < dc < alpha
+        assert abs(bss._g(dc, alpha) / (dc - alpha) - bss._g_prime(dc, alpha)) <= 1e-8
 
 
 class TestWynerZivDistortion:
@@ -798,11 +800,12 @@ class TestRangeEdges:
 
     def test_curve_identity_holds_across_the_fixed_bracket(self):
         # an absolute 1e-12 stop left dc up to 1e-3 of itself off here, and
-        # wyner_ziv_curve's 1e-8 residual check raised for 189 of these alphas
+        # the 1e-8 turning-point residual failed for 189 of these alphas
         for i in range(200):
             alpha = 5.4e-5 * (8.1e-3 / 5.4e-5) ** (i / 199)
-            curve = bss.wyner_ziv_curve(alpha)
-            assert 0.0 < curve.dc < alpha
+            dc = bss.wyner_ziv_turning_point(alpha)
+            assert 0.0 < dc < alpha
+            assert abs(bss._g(dc, alpha) / (dc - alpha) - bss._g_prime(dc, alpha)) <= 1e-8, alpha
 
     def test_unresolved_turning_point_is_refused(self):
         with pytest.raises(ValueError, match="below 1e-12"):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from composite_coder import channels, specfn
 from composite_coder.channels import CompositeBsc, RatePair, RayleighSystem
@@ -100,12 +102,8 @@ class TestOptimalOutageForCapacity:
     def test_matches_numeric_maximizer(self, scale):
         sys = RayleighSystem(sigma2=1.0, power=scale, gamma_bar=1.0)
         closed = channels.optimal_outage_for_capacity(sys)
-        numeric, _ = specfn.minimize_scalar(
-            lambda q: -channels.outage_capacity_rayleigh(sys, q),
-            1e-9,
-            1.0 - 1e-9,
-            tol=1e-9,
-            grid=4096,
+        numeric, _ = specfn.golden_section(
+            lambda q: -channels.outage_capacity_rayleigh(sys, q), 1e-9, 1.0 - 1e-9, tol=1e-9
         )
         assert closed == pytest.approx(numeric, abs=1e-6)
 
@@ -192,6 +190,29 @@ class TestExpectedCapacity:
 
         brute = max(average_rate(i * 0.5 / 50000) for i in range(50001))
         assert value == pytest.approx(brute, abs=1e-6)
+
+    @given(
+        st.floats(-6.0, math.log10(0.49), exclude_max=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @example(-6.0, 1e-9, 1.0)
+    @example(-6.0, 0.5, 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_golden_section_finds_the_maximum(self, log_alpha1, frac, p):
+        # the objective is unimodal in beta, so no grid point may beat the search
+        alpha1 = 10.0**log_alpha1
+        alpha2 = alpha1 + frac * (0.5 - alpha1)
+        assume(alpha1 < 0.49 and alpha1 < alpha2 < 0.5)
+        ch = CompositeBsc(alpha1=alpha1, alpha2=alpha2, p=p, b=1.0)
+
+        def objective(beta):
+            rates = channels.bsc_bc_rate_region(ch, beta)
+            return (1.0 - p) * (rates.r1 + rates.r2) + p * rates.r2
+
+        value, beta = channels.bsc_expected_capacity(ch)
+        assert value >= max(objective(0.5 * i / 256) for i in range(257)) - 1e-12
+        assert objective(beta) == value
 
     def test_sandwich_bounds(self):
         ch = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.3, b=2.0)

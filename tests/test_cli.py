@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -662,6 +663,56 @@ class TestImports:
         mod = importlib.import_module(f"composite_coder{module}")
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
+    def test_every_public_name_has_a_caller(self):
+        # an export that only tests reach is a library-only path; the paper's
+        # definitions below are kept on purpose (wyner_ziv_rate is the
+        # Wyner-Ziv curve whose inverse, wyner_ziv_distortion, the tables use)
+        paper_definitions = {
+            "capacity_vs_outage_bsc",
+            "requirement_check",
+            "bsc_expected_capacity",
+            "wyner_ziv_rate",
+        }
+        root = Path(composite_coder.__file__).resolve().parents[2]
+        src = sorted((root / "src" / "composite_coder").glob("*.py"))
+
+        def loads(node, owners=()):
+            # (name, names of the enclosing definitions) of each load
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owners += (node.name,)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owners
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr, owners
+            for child in ast.iter_child_nodes(node):
+                yield from loads(child, owners)
+
+        used = {
+            name
+            for path in src
+            for name, owners in loads(ast.parse(path.read_text()))
+            if name not in owners
+        }
+        for path in sorted((root / "bench").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            used |= {name for name, _ in loads(tree)}
+            # the tracer names what it wraps and counts as "module.name[.metric]"
+            used |= {
+                f"{parts[0]}.{parts[1]}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                for parts in [node.value.split(".")]
+                if len(parts) > 1
+            }
+        unused = set()
+        for path in src:
+            prefix = "" if path.stem == "__init__" else f".{path.stem}"
+            mod = importlib.import_module(f"composite_coder{prefix}")
+            for name in getattr(mod, "__all__", ()):
+                if name not in used and f"{path.stem}.{name}" not in used:
+                    unused.add(name)
+        assert unused == paper_definitions
+
     def test_cli_import_and_gaussian_commands_leave_numpy_out(self):
         src = str(Path(composite_coder.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -870,6 +921,21 @@ class TestSelfcheck:
         code, out, _ = run_cli(["selfcheck"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+    def test_bad_turning_point_prints_fail(self, capsys, monkeypatch):
+        # the Wyner-Ziv identity check reports a wrong dc as a FAIL line and
+        # exit 1, not as a numeric error
+        exact = bss_system.wyner_ziv_turning_point
+
+        def off(alpha):
+            return exact(alpha) * (1.0 + 1e-4)
+
+        monkeypatch.setattr(bss_system, "wyner_ziv_turning_point", off)
+        code, out, _ = run_cli(["selfcheck"], capsys)
+        assert code == cli.EXIT_SELFCHECK
+        [line] = [l for l in out.splitlines() if l.startswith("wyner-ziv-turning-identity")]
+        assert "  FAIL  " in line
+        assert out.splitlines()[-1] == "12 checks, 1 failures"
 
 
 # sha256 of stdout of every bss-* table, re-recorded when the distortion-rate

@@ -82,12 +82,8 @@ class TestOutageSeparation:
     def test_matches_numeric_minimizer(self, scale):
         sys = RayleighSystem(sigma2=1.0, power=scale, gamma_bar=1.0)
         closed, _ = gs.optimal_outage_for_distortion(sys)
-        numeric, _ = specfn.minimize_scalar(
-            lambda q: gs.outage_separation_distortion(sys, q),
-            1e-9,
-            1.0 - 1e-9,
-            tol=1e-9,
-            grid=4096,
+        numeric, _ = specfn.golden_section(
+            lambda q: gs.outage_separation_distortion(sys, q), 1e-9, 1.0 - 1e-9, tol=1e-9
         )
         assert closed == pytest.approx(numeric, abs=1e-6)
 
@@ -159,39 +155,77 @@ class TestBroadcastAllocation:
         assert gs.uncoded_expected_distortion(UNIT) < value < outage
 
 
+def _profile_density(sys, g):
+    """Layer power density -dI/dg of the optimal profile, by the quotient rule."""
+    gbar = sys.gamma_bar
+    num = gs._numerator(g / gbar)
+    den = g * math.exp(-g / (2.0 * gbar))
+    dnum = (1.0 / (2.0 * gbar) - 1.0 / g) * math.exp(-g / (2.0 * gbar))
+    dden = math.exp(-g / (2.0 * gbar)) * (1.0 - g / (2.0 * gbar))
+    return (num * dden - dnum * den) / (den * den)
+
+
+def _rate_by_quadrature(sys, gamma):
+    """Decodable rate (nats/use) at gain gamma: int u rho(u)/(1 + u I(u)) du.
+
+    The integral runs over the profile's support [gamma_P, gamma_bar] below
+    gamma; gains past gamma_bar saturate at the full rate.
+    """
+    gamma_p = gs.bc_power_threshold(sys)
+    upper = min(gamma, sys.gamma_bar)
+    if upper <= gamma_p:
+        return 0.0
+    return specfn.integrate(
+        lambda u: u * _profile_density(sys, u) / (1.0 + u * gs.bc_interference(sys, u)),
+        gamma_p,
+        upper,
+        tol=1e-10,
+    )
+
+
 class TestRateProfile:
+    # the rate profile of the optimal layered allocation, as a quadrature
+    # oracle for the closed forms of bc_expected_distortion
     def test_zero_rate_below_support(self):
-        profile = gs.bc_optimal_profile(UNIT)
-        assert gs.bc_rate_profile(profile, 0.5 * profile.gamma_lo) == 0.0
+        gamma_p = gs.bc_power_threshold(UNIT)
+        assert _rate_by_quadrature(UNIT, 0.5 * gamma_p) == 0.0
 
     def test_rate_nondecreasing(self):
-        profile = gs.bc_optimal_profile(UNIT)
-        grid = [profile.gamma_lo + (1.2 - profile.gamma_lo) * i / 99 for i in range(100)]
-        rates = [gs.bc_rate_profile(profile, g) for g in grid]
+        gamma_p = gs.bc_power_threshold(UNIT)
+        grid = [gamma_p + (1.2 - gamma_p) * i / 99 for i in range(100)]
+        rates = [_rate_by_quadrature(UNIT, g) for g in grid]
         assert all(a <= b + 1e-10 for a, b in zip(rates, rates[1:]))
 
     def test_profile_reproduces_expected_distortion(self):
         # quadrature-composition oracle for the expected distortion:
         # sigma2 * E[exp(-R(gamma))] over the fading density
-        profile = gs.bc_optimal_profile(UNIT)
-        head = -math.expm1(-profile.gamma_lo)  # rate zero below the support
+        gamma_p, gbar = gs.bc_power_threshold(UNIT), UNIT.gamma_bar
+        head = -math.expm1(-gamma_p)  # rate zero below the support
         body = specfn.integrate(
-            lambda g: math.exp(-gs.bc_rate_profile(profile, g)) * math.exp(-g),
-            profile.gamma_lo,
-            profile.gamma_hi,
+            lambda g: math.exp(-_rate_by_quadrature(UNIT, g)) * math.exp(-g),
+            gamma_p,
+            gbar,
             tol=1e-7,
         )
-        tail = math.exp(-gs.bc_rate_profile(profile, profile.gamma_hi)) * math.exp(
-            -profile.gamma_hi
-        )
+        tail = math.exp(-_rate_by_quadrature(UNIT, gbar)) * math.exp(-gbar)
         composed = head + body + tail
         assert composed == pytest.approx(gs.bc_expected_distortion(UNIT), rel=0.01)
 
     def test_density_positive_on_support(self):
-        profile = gs.bc_optimal_profile(UNIT)
+        gamma_p, gbar = gs.bc_power_threshold(UNIT), UNIT.gamma_bar
         for i in range(1, 10):
-            g = profile.gamma_lo + (profile.gamma_hi - profile.gamma_lo) * i / 10
-            assert profile.power_density(g) > 0.0
+            g = gamma_p + (gbar - gamma_p) * i / 10
+            assert _profile_density(UNIT, g) > 0.0
+
+    @pytest.mark.parametrize("power, gbar", [(1.0, 1.0), (4.0, 0.5), (0.2, 3.0)])
+    def test_rate_closed_form(self, power, gbar):
+        # with x = gamma/gamma_bar the rate is ln(x/x_P) - (x - x_P)/2 on [x_P, 1]
+        sys = RayleighSystem(sigma2=1.0, power=power, gamma_bar=gbar)
+        x_p = gs._threshold_ratio(power * gbar)
+        for k in range(1, 9):
+            x = x_p + (1.0 - x_p) * k / 8
+            closed = math.log(x / x_p) - 0.5 * (x - x_p)
+            assert _rate_by_quadrature(sys, x * gbar) == pytest.approx(closed, abs=1e-12)
 
 
 class TestSchemeOrdering:
@@ -245,7 +279,7 @@ class TestClosedFormsAgainstQuadrature:
     def test_numerator_and_distortion_to_go(self, gbar, x):
         sys = RayleighSystem(sigma2=1.0, power=1.0, gamma_bar=gbar)
         gamma = x * gbar
-        assert gs._interference_numerator(sys, gamma) == pytest.approx(
+        assert gs._numerator(gamma / gbar) == pytest.approx(
             _quadrature_numerator(gbar, gamma), rel=1e-10, abs=1e-14
         )
         assert gs._distortion_to_go(sys, gamma) == pytest.approx(
@@ -261,11 +295,11 @@ class TestClosedFormsAgainstQuadrature:
             assert gs.bc_interference(sys, gamma) == pytest.approx(expected, rel=1e-10)
 
     def test_profile_density_is_minus_interference_slope(self):
-        profile = gs.bc_optimal_profile(UNIT)
         for g in (0.5, 0.7, 0.9):
             h = 1e-5
-            slope = (profile.interference(g + h) - profile.interference(g - h)) / (2.0 * h)
-            assert profile.power_density(g) == pytest.approx(-slope, rel=1e-7)
+            above, below = gs.bc_interference(UNIT, g + h), gs.bc_interference(UNIT, g - h)
+            slope = (above - below) / (2.0 * h)
+            assert _profile_density(UNIT, g) == pytest.approx(-slope, rel=1e-7)
 
 
 def _mp_oracle(a):

@@ -304,28 +304,6 @@ class TestLambertW:
             specfn.lambert_w(-0.5)
 
 
-class TestMinimizeScalar:
-    def test_parabola(self):
-        x, fx = specfn.minimize_scalar(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_constant(self):
-        x, fx = specfn.minimize_scalar(lambda _: 2.5, 0.0, 1.0, tol=1e-8)
-        assert fx == 2.5
-        assert 0.0 <= x <= 1.0
-
-    def test_outage_tradeoff_matches_closed_form(self):
-        # closed-form minimizer of q + (1-q)/(1 - ln(1-q)) at unit SNR scale
-        closed = 1.0 - math.exp(-2.0 / (1.0 + math.sqrt(5.0)))
-
-        def objective(q):
-            return q + (1.0 - q) / (1.0 - math.log1p(-q))
-
-        x, _ = specfn.minimize_scalar(objective, 1e-9, 1.0 - 1e-9, tol=1e-10, grid=4096)
-        assert x == pytest.approx(closed, abs=1e-6)
-
-
 class TestGoldenSection:
     def test_parabola(self):
         x, fx = specfn.golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
@@ -347,7 +325,7 @@ class TestGoldenSection:
             specfn.golden_section(lambda x: x, lo, hi)
 
     def test_outage_tradeoff_matches_closed_form(self):
-        # the objective of TestMinimizeScalar, unimodal on the whole interval
+        # the unit-SNR outage tradeoff q + (1-q)/(1 - ln(1-q)), unimodal on the interval
         closed = 1.0 - math.exp(-2.0 / (1.0 + math.sqrt(5.0)))
         x, _ = specfn.golden_section(
             lambda q: q + (1.0 - q) / (1.0 - math.log1p(-q)), 1e-9, 1.0 - 1e-9, tol=1e-9
