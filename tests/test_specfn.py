@@ -304,6 +304,30 @@ class TestLambertW:
             specfn.lambert_w(-0.5)
 
 
+class TestMinimizeScalar:
+    """The original scalar-minimization cases, on the package's one minimizer."""
+
+    def test_parabola(self):
+        x, fx = specfn.golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        assert fx == pytest.approx(0.0, abs=1e-15)
+
+    def test_constant(self):
+        x, fx = specfn.golden_section(lambda _: 2.5, 0.0, 1.0, tol=1e-8)
+        assert fx == 2.5
+        assert 0.0 <= x <= 1.0
+
+    def test_outage_tradeoff_matches_closed_form(self):
+        # closed-form minimizer of q + (1-q)/(1 - ln(1-q)) at unit SNR scale
+        closed = 1.0 - math.exp(-2.0 / (1.0 + math.sqrt(5.0)))
+
+        def objective(q):
+            return q + (1.0 - q) / (1.0 - math.log1p(-q))
+
+        x, _ = specfn.golden_section(objective, 1e-9, 1.0 - 1e-9, tol=1e-10)
+        assert x == pytest.approx(closed, abs=1e-6)
+
+
 class TestGoldenSection:
     def test_parabola(self):
         x, fx = specfn.golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-10)
