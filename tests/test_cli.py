@@ -1048,6 +1048,116 @@ _PINNED_MC_SHA256 = {
 }
 
 
+# every pinned argv but selfcheck's, by a label: its key in the pin tables
+# above, or test_montecarlo's superposition pin
+_PINNED_ARGVS = {
+    **{f"{table}@{point}": _TABLES[table] + _POINTS[point] for point, table in _PINNED_SHA256},
+    **{argv: [argv.split()[0], *_POINTS["reference"], *argv.split()[1:]]
+       for argv in _PINNED_BENCH_SIZE_SHA256},
+    **{argv: argv.split() for argv in _PINNED_GAUSSIAN_SHA256 if argv != "selfcheck"},
+    **{f"log-grid gamma_bar={gamma_bar!r} sigma2={sigma2}":
+       ["gaussian-compare", "--gamma-bar", repr(gamma_bar), "--sigma2", sigma2,
+        "--p-grid", _log_p_grid(gamma_bar)]
+       for gamma_bar, sigma2 in _PINNED_LOG_GRID_SHA256},
+    **{argv: argv.split() for argv in _PINNED_MC_SHA256},
+    "mc superposition --trials 20": ["mc", "superposition", "--trials", "20"],
+}
+_CONFIG_LINES = ('# parameters=', '# config_sha256=', '  "parameters": ', '  "config_sha256": ')
+
+
+def _data_only(out):
+    """A table's text without its two lines of the configuration: parameters and its hash."""
+    lines = out.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(_CONFIG_LINES)]
+    assert len(lines) - len(kept) == 2
+    return "".join(kept)
+
+
+# sha256 of _data_only of every pinned output, recorded when the parameter
+# string was cut down to the keys a command reads: that moved only the two
+# configuration lines of each table, so these hold across it
+_PINNED_DATA_SHA256 = {
+    "region-csv@reference":
+        "530c375184fcffc3b9b1e2ed22d9909c573713daa08a175f4a78e62b744a71b8",
+    "region-json@reference":
+        "3d818a2a24c4c2354d13ef1c0cbbcfaeee2fa809c870ee87b82ee23bf27c7562",
+    "frontier@reference":
+        "fa298f584a35e970f25c77c4405d1ce4cfd8149904493f0d382e824fe570369b",
+    "interface@reference":
+        "f68d4bb9e2a311db4a0cd11708afd60b20586f891d888437a925df1f4ec7f6b3",
+    "region-csv@near":
+        "fa76b61d1b2a2516cc698fb52344523341b6cafffb25c278c302931dcb7605f4",
+    "region-json@near":
+        "afd04100aece609d8282288a0666caf49554ac740b1eceac8c821526826d143a",
+    "frontier@near":
+        "0f97b6777568df8eae5d5baf91322a0ec1d80f035d815b0c6e703228526daf16",
+    "interface@near":
+        "07e11789136db7dbe52ae3da47646873df9bfb5066408a80fa550a30a5267d26",
+    "region-csv@lossless":
+        "662214109f08e2bc2710d3c5e7982acd1c53c4f958613baea1b9d3fd7e71fdcd",
+    "region-json@lossless":
+        "66490e60399c9861ff3e24afbebcea455d03c852dc35b75d3b91e5bbe5184f81",
+    "frontier@lossless":
+        "0a9ce0f2544dbaa7468c49bc036e89295b68b37692634b7046e81f2571e60ebc",
+    "interface@lossless":
+        "ef99fb41076c8c0d18df54b92d8b230e2d9f34a8de04abf1a28d22f4325a1d19",
+    "bss-region --grid 129 --format json":
+        "4337dd5ae4a7576dabe066cfb56998da59feb64de8840c9d3b22e2501c2f6b19",
+    "bss-interface --grid 65 --p 0.3":
+        "cb114d86af8491cd6431baf57bd40403f0bc9a5960d7cc3be09a2ca8431426d3",
+    "bss-frontier --p-grid 0:1:101 --grid 129":
+        "4fd2b17f560fe1e969087a34e772efbf4228b3a7f558e51806b5ad5992dab138",
+    "gaussian-compare":
+        "26b5735dcbb45718940288ee673ba023de7d02d0a9b52403dd2442537881b3bf",
+    "gaussian-compare --p-grid 0.01,0.1,1,10,100,1000,1e4,1e5":
+        "94820991e6be2485b4ff8041b0a9fbc58a64af0b3a4ddc08e4fea713573739a3",
+    "log-grid gamma_bar=0.25 sigma2=1":
+        "c847c9db25b4a17298f163ddeacc7f6517ad10876aabc66ba5b60733b0092b80",
+    "log-grid gamma_bar=1.0 sigma2=0.3":
+        "a8837fa928fb156bbf930f4cda5470c68c41976156478279e34ee3fd077de5c4",
+    "log-grid gamma_bar=3.0 sigma2=1":
+        "7775761950fedc407ebc8c0f7f6e820a9871472b0187a418e96506cd0e1afbcc",
+    "mc uncoded-bsc --trials 77 --seed 3":
+        "2dff3eacfcbebb0ac6a5d3872372b35b3f2fcb186c76f33170b30a0befa12849",
+    "mc uncoded-bsc --trials 1 --seed 4":
+        "ddf0d06f2c50cc11133293a7c13f3622b89114f48934e2cf5ab41af7274712a8",
+    "mc uncoded-bsc --trials 77 --blocklength 1001 --alpha1 0.1":
+        "10d7b52a7ac411c9d81bb6750975669dd503ae46191c5e7750109074c0d06283",
+    "mc uncoded-bsc --trials 33 --blocklength 1002 --alpha1 0.37":
+        "30df1c266587985a8040cfd4f4487f2715999673f361beb64e707aee4d732516",
+    "mc uncoded-bsc --trials 33 --blocklength 1003 --alpha1 0.5 --seed 18446744073709551615":
+        "791e0ca83d4139e1c958517e052e5b2cc476442b7b2c4bfbab4baef819e2202a",
+    "mc uncoded-bsc --trials 5 --blocklength 1 --alpha1 0.9":
+        "b82bb6f640b0b06708a9ba0327f35df583a5399fbe3a1554988ebe8aa59874ff",
+    "mc uncoded-gaussian --trials 77":
+        "de2f38d9ef3a15e345fd3d2d37c358043342a278519c6f4d66be63cef3615678",
+    "mc uncoded-gaussian --trials 1":
+        "30de5c0f0e7061a664d8cea2716dee87dfda89fe5d5189ae341f66b2c8a388b1",
+    "mc uncoded-gaussian --trials 40 --blocklength 33 --sigma2 0.5 --power 2 --gamma-bar 3":
+        "018e98bbf01e25280d200095ba6ea9b896ceecdeb268887b299b9a1bc54ee46e",
+    "mc quantizer --trials 77":
+        "980bb347c1cfbe6919e1ddc43c7bcd1b3aacfd0d84e88e4cec41f9a93be9c326",
+    "mc quantizer --trials 1":
+        "92bbde1c71a6341af8a58cca4fb876b28c55051e47e5b986d267aeb3d881209b",
+    "mc quantizer --trials 300 --blocklength 20 --seed 9":
+        "612e4b54133df392a02e942ace98ec44a52600daf17fe5f2824f2d8cdca0b7c5",
+    "mc msvq --trials 77":
+        "bc315f0b83811a47d7352e7da95bd99e63c274701cdc07f456522d0ae1a7bbe7",
+    "mc msvq --trials 1":
+        "89f9620180ad083c3ada472dccc62a78c50ade194e94298e77bc4aef78edf4db",
+    "mc msvq --trials 300 --blocklength 24 --seed 9":
+        "99bb8b5329add260138504bd80dbfe36fcca37afd7cf9cf28a4625ddda27f341",
+    "mc superposition --trials 77":
+        "523927bbdd45d0dabf2e375323e7e92d998fa5a4f2a7fe22b17946a54f3989c3",
+    "mc superposition --trials 1":
+        "02f3a99fef1294dd4c0b30bc054b0ce0ea9d586b056ff937d3ce0896243d0a47",
+    "mc superposition --trials 33 --blocklength 100 --alpha1 0.26 --alpha2 0.4 --format json":
+        "42ceda687f087507366e0bddc80f41e664e6260d3f8cc1ba034e9534366b962c",
+    "mc superposition --trials 20":
+        "7a0ef428fcd39ae8d9ede28561bb5e1888d6cf35fe3cfd9d85c4117f188ceede",
+}
+
+
 def _exact_crossover(hull_a, hull_b, p_a, p_b):
     """Where the best family changes from A at p_a to B at p_b, in exact arithmetic.
 
@@ -1212,6 +1322,15 @@ class TestPinnedBytes:
         code, out, _ = run_cli(argv.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_MC_SHA256[argv]
+
+    @pytest.mark.parametrize("label", sorted(_PINNED_ARGVS))
+    def test_data_bytes(self, label, capsys):
+        assert _PINNED_DATA_SHA256.keys() == _PINNED_ARGVS.keys()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the lossless point leaves the lossy regime
+            code, out, _ = run_cli(_PINNED_ARGVS[label], capsys)
+        assert code == 0
+        assert hashlib.sha256(_data_only(out).encode()).hexdigest() == _PINNED_DATA_SHA256[label]
 
 
 # The renderers as they were before the column-wise rewrite: one call per cell
