@@ -98,15 +98,20 @@ class RunConfig:
     blocklength: Optional[int] = None
 
     def canonical(self) -> str:
+        """``command=``, ``experiment=`` for mc, then every key but ``out`` that the command reads.
+
+        The read keys are those of its _READS row, in _KEYS order, each its
+        ``str`` but a sweep, which is its ``spec``.
+        """
         parts = [f"command={self.command}"]
-        if self.experiment:
+        name = self.command
+        if self.experiment is not None:
             parts.append(f"experiment={self.experiment}")
-        for key in (
-            "alpha1", "alpha2", "p", "b", "sigma2", "power", "gamma_bar",
-            "grid", "seed", "trials", "blocklength", "format",
-        ):
-            parts.append(f"{key}={getattr(self, key)}")
-        parts.append("p_grid=" + ",".join(f"{v:.12g}" for v in self.p_grid))
+            name = f"mc {self.experiment}"
+        reads = _READS[name] - {"out"}
+        for key in filter(reads.__contains__, _KEYS):
+            value = getattr(self, key)
+            parts.append(f"{key}={value.spec if key == 'p_grid' else value}")
         return ";".join(parts)
 
 
@@ -283,8 +288,20 @@ def _check_sweep_length(n: int) -> None:
         raise specfn.BudgetError(f"sweep of {n} points is over the cap of {SWEEP_CAP}")
 
 
+class _Sweep(list):
+    """The values of a sweep, and ``spec``, its spelling in the table metadata."""
+
+    def __init__(self, values: list[float], spec: str) -> None:
+        super().__init__(values)
+        self.spec = spec
+
+
 def _parse_grid_spec(text: str) -> list[float]:
-    """Either 'lo:hi:n' or a comma-separated list of values."""
+    """Either 'lo:hi:n' or a comma-separated list of values.
+
+    The sweep's spec is ``repr(lo):repr(hi):n`` for the one and its values'
+    ``.12g`` strings joined by commas for the other.
+    """
     text = text.strip()
     if not text:
         raise ConfigError("empty sweep specification")
@@ -301,6 +318,7 @@ def _parse_grid_spec(text: str) -> list[float]:
         _check_sweep_length(n)
         step = (hi - lo) / (n - 1)
         values = [lo + i * step for i in range(n)]
+        spec = f"{lo!r}:{hi!r}:{n}"
     else:
         _check_sweep_length(text.count(",") + 1)
         try:
@@ -309,9 +327,10 @@ def _parse_grid_spec(text: str) -> list[float]:
             raise ConfigError(f"bad grid values {text!r}") from exc
         if len(values) < 2:
             raise ConfigError("sweep needs at least 2 points")
+        spec = ",".join(f"{v:.12g}" for v in values)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"sweep values must be finite, got {text!r}")
-    return values
+    return _Sweep(values, spec)
 
 
 # ---------------------------------------------------------------------------
