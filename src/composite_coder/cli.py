@@ -20,7 +20,11 @@ win on conflict.  One table (_READS) gives the keys each command reads, with
 ``selfcheck`` every key.  Resolution rejects the unread keys, then parses and
 range-checks the read ones, then checks the quantities derived from them.
 Identical configurations produce byte-identical output: metadata carries a
-canonical parameter string and its hash, never a timestamp.
+canonical parameter string and its hash, never a timestamp.  The string is
+``command=``, then ``experiment=`` for mc, then each key of the command's
+_READS row but ``out``, in _KEYS order, as ``key=str(value)``, joined by
+``;``.  A --p-grid given as ``lo:hi:n`` is ``repr(lo):repr(hi):n`` there,
+and one given as a comma list its values' ``.12g`` strings.
 
 Output cells: in CSV a float is its ``.12g`` string and None an empty cell;
 in JSON (indent 1) a float is its ``.12g``-rounded value in shortest
@@ -98,11 +102,7 @@ class RunConfig:
     blocklength: Optional[int] = None
 
     def canonical(self) -> str:
-        """``command=``, ``experiment=`` for mc, then every key but ``out`` that the command reads.
-
-        The read keys are those of its _READS row, in _KEYS order, each its
-        ``str`` but a sweep, which is its ``spec``.
-        """
+        """The parameter string of the module docstring, from the command's _READS row."""
         parts = [f"command={self.command}"]
         name = self.command
         if self.experiment is not None:
@@ -521,7 +521,7 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 
     import numpy as np
 
-    # one array inversion of the (t, rate) pairs that inverse_binary_entropy(r) forms
+    # h^-1(r) for every r in one array inversion, of the pairs t = r, rate = 1 - r
     rs = [0.05 * i for i in range(1, 20)]
     ps = specfn._inverse_entropy(np.array(rs), 1.0 - np.array(rs)).tolist()
     err = max(abs(specfn.binary_entropy(p) - r) for p, r in zip(ps, rs))

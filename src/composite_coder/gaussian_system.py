@@ -14,7 +14,8 @@ both integrals reduce to exponential integrals E1(x/2), so I(gamma)*gamma_bar
 and D(gamma) depend on x alone and the power threshold is a root in x that
 depends only on a = power*gamma_bar.  Every broadcast quantity is evaluated
 through these closed forms; tests check them against quadrature of the
-defining integrals and against a high-precision oracle.
+defining integrals and against a high-precision oracle.  I(gamma) itself is
+a test oracle: the threshold's root reads only its numerator.
 
 The threshold root is 1 - 2a below a = 2^-47, where the remainder is below
 rounding; above, it is found by one Newton iteration in ln x, within a few
@@ -35,7 +36,6 @@ __all__ = [
     "outage_separation_distortion",
     "optimal_outage_for_distortion",
     "requirement_check",
-    "bc_interference",
     "bc_power_threshold",
     "bc_expected_distortion",
 ]
@@ -111,27 +111,6 @@ def requirement_check(sys: RayleighSystem, q: float, dq: float) -> bool:
 def _numerator(x: float) -> float:
     """int_1^x (1/2 - 1/t) exp(-t/2) dt in closed form."""
     return (_EXP_HALF - math.exp(-0.5 * x)) - (_E1_HALF - specfn.exp_integral(0.5 * x))
-
-
-def _scaled_interference(x: float) -> float:
-    """gamma_bar * I(x * gamma_bar); decreases from +inf at 0+ to 0 at x = 1."""
-    return _numerator(x) / (x * math.exp(-0.5 * x))
-
-
-def bc_interference(sys: RayleighSystem, gamma: float) -> float:
-    """Residual interference level of the optimal layered allocation.
-
-    Defined for 0 < gamma <= gamma_bar as the ratio of the integral of
-    (1/u - 1/(2 gamma_bar)) * exp(-u/(2 gamma_bar)) over (gamma, gamma_bar]
-    to gamma * exp(-gamma/(2 gamma_bar)); it decreases from +infinity at 0+
-    to zero at gamma_bar.
-    """
-    gbar = sys.gamma_bar
-    if not 0.0 < gamma <= gbar:
-        raise ValueError(f"gamma must lie in (0, gamma_bar], got {gamma}")
-    if gamma == gbar:
-        return 0.0
-    return _scaled_interference(gamma / gbar) / gbar
 
 
 def _threshold_ratio(a: float) -> float:

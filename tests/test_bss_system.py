@@ -13,7 +13,7 @@ from composite_coder import bss_system as bss
 from composite_coder import specfn
 from composite_coder.bss_system import Scheme, SchemeEvaluation
 from composite_coder.channels import CompositeBsc, bsc_bc_rate_region
-from test_specfn import hull_dominates
+from test_specfn import hull_dominates, inverse_binary_entropy
 
 CH = CompositeBsc(alpha1=0.25, alpha2=0.45, p=0.5, b=2.0)
 
@@ -738,7 +738,7 @@ _TARGETS = st.one_of(
 
 
 class TestEntropyInverse:
-    """``specfn._inverse_entropy`` of arrays against the scalar ``specfn.inverse_binary_entropy``."""
+    """``specfn._inverse_entropy`` of arrays against the scalar ``inverse_binary_entropy``."""
 
     @given(st.lists(_TARGETS, min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -746,7 +746,7 @@ class TestEntropyInverse:
         np = pytest.importorskip("numpy")
         r = np.array(targets)
         got = specfn._inverse_entropy(r, 1.0 - r).tolist()
-        assert got == [specfn.inverse_binary_entropy(x) for x in targets]
+        assert got == [inverse_binary_entropy(x) for x in targets]
 
     def test_inverse_raises_no_warning(self):
         np = pytest.importorskip("numpy")

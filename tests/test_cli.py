@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import composite_coder
 from composite_coder import bss_system, channels, cli, specfn
+from test_specfn import inverse_binary_entropy
 
 
 def run_cli(args, capsys):
@@ -1339,7 +1340,7 @@ class TestParserReuse:
 class TestSelfcheckRoundtrip:
     def test_one_array_inversion_equals_the_scalar_inverse(self, monkeypatch):
         rates = [0.05 * i for i in range(1, 20)]
-        expected = [specfn.inverse_binary_entropy(r) for r in rates]
+        expected = [inverse_binary_entropy(r) for r in rates]
         calls = []
         inverse = specfn._inverse_entropy
 

@@ -13,9 +13,31 @@ from composite_coder.channels import RayleighSystem
 UNIT = RayleighSystem(sigma2=1.0, power=1.0, gamma_bar=1.0)
 
 # golden values recorded from the quadrature/bisection oracles in this file
-GOLDEN_INTERFERENCE_HALF = 0.801845409239  # bc_interference at gamma_bar=1, gamma=0.5
+GOLDEN_INTERFERENCE_HALF = 0.801845409239  # _interference at gamma_bar=1, gamma=0.5
 GOLDEN_POWER_THRESHOLD = 0.4582638957  # bc_power_threshold at sigma2=P=gamma_bar=1
 GOLDEN_BC_DISTORTION = 0.7902201994  # bc_expected_distortion, same point
+
+
+def _scaled_interference(x):
+    """gamma_bar * I(x * gamma_bar); decreases from +inf at 0+ to 0 at x = 1."""
+    return gs._numerator(x) / (x * math.exp(-0.5 * x))
+
+
+def _interference(sys, gamma):
+    """Residual interference level I(gamma) of the optimal layered allocation.
+
+    Defined for 0 < gamma <= gamma_bar as the ratio of the integral of
+    (1/u - 1/(2 gamma_bar)) * exp(-u/(2 gamma_bar)) over (gamma, gamma_bar]
+    to gamma * exp(-gamma/(2 gamma_bar)); it decreases from +infinity at 0+
+    to zero at gamma_bar.  The package solves I = P through its numerator
+    alone; this closed form is the oracle for the threshold and the profile.
+    """
+    gbar = sys.gamma_bar
+    if not 0.0 < gamma <= gbar:
+        raise ValueError(f"gamma must lie in (0, gamma_bar], got {gamma}")
+    if gamma == gbar:
+        return 0.0
+    return _scaled_interference(gamma / gbar) / gbar
 
 
 class TestUncoded:
@@ -113,7 +135,7 @@ class TestRequirementCheck:
 
 class TestBroadcastAllocation:
     def test_interference_vanishes_at_mean_gain(self):
-        assert gs.bc_interference(UNIT, 1.0) == 0.0
+        assert _interference(UNIT, 1.0) == 0.0
 
     def test_interference_golden_value(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -121,20 +143,20 @@ class TestBroadcastAllocation:
             lambda u: (0.5 - 1.0 / u) * math.exp(-u / 2.0), 1.0, 0.5
         )
         oracle /= 0.5 * math.exp(-0.25)
-        value = gs.bc_interference(UNIT, 0.5)
+        value = _interference(UNIT, 0.5)
         assert value == pytest.approx(oracle, rel=1e-9)
         assert value == pytest.approx(GOLDEN_INTERFERENCE_HALF, abs=1e-9)
 
     def test_interference_nonincreasing(self):
         gamma_p = gs.bc_power_threshold(UNIT)
         grid = [gamma_p + (1.0 - gamma_p) * i / 99 for i in range(100)]
-        values = [gs.bc_interference(UNIT, g) for g in grid]
+        values = [_interference(UNIT, g) for g in grid]
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
         assert all(v >= 0.0 for v in values)
 
     def test_threshold_defining_identity(self):
         gamma_p = gs.bc_power_threshold(UNIT)
-        assert gs.bc_interference(UNIT, gamma_p) == pytest.approx(1.0, abs=1e-8)
+        assert _interference(UNIT, gamma_p) == pytest.approx(1.0, abs=1e-8)
         assert gamma_p == pytest.approx(GOLDEN_POWER_THRESHOLD, abs=1e-8)
 
     def test_threshold_approaches_mean_gain_at_low_power(self):
@@ -176,7 +198,7 @@ def _rate_by_quadrature(sys, gamma):
     if upper <= gamma_p:
         return 0.0
     return specfn.integrate(
-        lambda u: u * _profile_density(sys, u) / (1.0 + u * gs.bc_interference(sys, u)),
+        lambda u: u * _profile_density(sys, u) / (1.0 + u * _interference(sys, u)),
         gamma_p,
         upper,
         tol=1e-10,
@@ -292,12 +314,12 @@ class TestClosedFormsAgainstQuadrature:
         for x in (0.05, 0.4, 0.8):
             gamma = x * gbar
             expected = _quadrature_numerator(gbar, gamma) / (gamma * math.exp(-x / 2.0))
-            assert gs.bc_interference(sys, gamma) == pytest.approx(expected, rel=1e-10)
+            assert _interference(sys, gamma) == pytest.approx(expected, rel=1e-10)
 
     def test_profile_density_is_minus_interference_slope(self):
         for g in (0.5, 0.7, 0.9):
             h = 1e-5
-            above, below = gs.bc_interference(UNIT, g + h), gs.bc_interference(UNIT, g - h)
+            above, below = _interference(UNIT, g + h), _interference(UNIT, g - h)
             slope = (above - below) / (2.0 * h)
             assert _profile_density(UNIT, g) == pytest.approx(-slope, rel=1e-7)
 
