@@ -1,12 +1,13 @@
-"""mpmath oracles for the BSC inverses and the Gaussian power threshold.
+"""mpmath oracles for the BSC inverses, the Gaussian power threshold and exp·E1.
 
-Each solves its equation by Newton's method in mpmath from the package's own
-float answer, which lies within a few ulps of the root, so a handful of
-high-precision steps reach it; a seed that is far off fails to converge and
-raises.  The BSC equations are the definitions at 50 digits: h(p) = 1 - rate
-(in u = 1 - 2p below rate 1/2, where 1 - rate is not exact in 50 digits),
-g(d) = h(alpha conv d) - h(d) and its tangent through (alpha, 0).  The
-threshold is the root of gamma_bar * I(x * gamma_bar) = a at 45 digits.
+The inverses and the threshold solve their equations by Newton's method in
+mpmath from the package's own float answer, which lies within a few ulps of
+the root, so a handful of high-precision steps reach it; a seed that is far
+off fails to converge and raises.  The BSC equations are the definitions at
+50 digits: h(p) = 1 - rate (in u = 1 - 2p below rate 1/2, where 1 - rate is
+not exact in 50 digits), g(d) = h(alpha conv d) - h(d) and its tangent
+through (alpha, 0).  The threshold is the root of gamma_bar * I(x *
+gamma_bar) = a at 45 digits.  exp(x) E1(x) is mpmath's own e1 at 50 digits.
 Tests load this module with ``pytest.importorskip("mp_oracle")``, so they
 skip where mpmath is missing.
 """
@@ -113,6 +114,13 @@ def broadcast_threshold(a, seed):
         tail = mpmath.exp(-half) * (mpmath.e1(half) - mpmath.e1(x / 2))
         de = (mpmath.exp(-1) - tail) * x * mpmath.exp(-(x - 1) / 2) - mpmath.expm1(-x)
         return x, de
+
+
+def scaled_e1(x):
+    """exp(x) * E1(x) for a float or an mpf x > 0, at 50 digits."""
+    with mpmath.workdps(DPS):
+        x = mpmath.mpf(x)
+        return mpmath.exp(x) * mpmath.e1(x)
 
 
 def entropy(p):

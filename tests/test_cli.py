@@ -508,10 +508,11 @@ class TestConfigSpace:
     # inputs that once failed, run every time: a huge b gave a NaN rate, tiny
     # alphas a turning-point bracket without the root, a huge sigma2 an inf
     # cell, P*gamma_bar below about 4e-16 a broadcast distortion rejected at
-    # sigma2, P*gamma_bar = 1e-300 an E1 continued fraction that stalls, and
-    # a huge sigma2 in mc uncoded-gaussian inf/nan statistics, P*gamma_bar
-    # above 1.2e308 a refused power threshold, and a broadcast distortion
-    # that underflows to 0 a refused table
+    # sigma2, P*gamma_bar = 1e-300 an exp*E1 at 1e300 that a forward
+    # continued fraction never settled, and a huge sigma2 in mc
+    # uncoded-gaussian inf/nan statistics, P*gamma_bar above 1.2e308 a
+    # refused power threshold, and a broadcast distortion that underflows to
+    # 0 a refused table
     @example(_MENDED_INPUTS[0])
     @example(_MENDED_INPUTS[1])
     @example(_MENDED_INPUTS[2])
@@ -1060,7 +1061,7 @@ _PINNED_GAUSSIAN_SHA256 = {
     "gaussian-compare": "5fed6844a12d1a36e63e9669a6d339d8cc0c87ff57033f51085e790920184491",
     "gaussian-compare --p-grid 0.01,0.1,1,10,100,1000,1e4,1e5":
         "344bc33527a13e20ae6e60b27d37c700f5162bc5a94381b1fe0e3341b52048ec",
-    "selfcheck": "7b0ff1c0c20f8002a7d8218057af10ce5c3e595d148b0b830bc186c2257aeb98",
+    "selfcheck": "d69d63945b42c69643f49dc97aa92c061d2bfac63a04670fb7ef1ae0438c9d09",
 }
 
 

@@ -77,6 +77,34 @@ class TestUncoded:
         strong = RayleighSystem(sigma2=1.0, power=1e6, gamma_bar=1.0)
         assert gs.uncoded_expected_distortion(strong) < 2e-5
 
+    def test_printed_distortion_matches_the_oracle(self, capsys):
+        # the tie rule of TestNewtonThreshold's printed-digit test, on
+        # exp(1/a) E1(1/a) / a.  At a = 0.6909970498524927 the exact value is
+        # 0.66587362344349885; the forward Lentz fraction was 16 ulps high and
+        # printed 0.665873623444
+        from composite_coder import cli
+
+        oracle = pytest.importorskip("mp_oracle")
+        mpmath = pytest.importorskip("mpmath")
+        a_tie = 0.6909970498524927
+        grid = _log_uniform(48, 1500) + [10.0 ** (k / 50) for k in range(-100, 251)]
+        grid += [0.25 + k * 7.75 / 2000 for k in range(2001)] + [a_tie]
+        for a in grid:
+            value = gs.uncoded_expected_distortion(RayleighSystem(sigma2=1.0, power=a, gamma_bar=1.0))
+            with mpmath.workdps(oracle.DPS):
+                exact = oracle.scaled_e1(1 / mpmath.mpf(a)) / a
+            nearest = float(exact)
+            width = 2.0 * math.ulp(nearest)
+            if oracle.g12(nearest - width) == oracle.g12(nearest + width):
+                assert oracle.g12(value) == oracle.g12(nearest), a
+            else:
+                assert oracle.ulps(value, exact) <= 2.0, a
+        value = gs.uncoded_expected_distortion(RayleighSystem(sigma2=1.0, power=a_tie, gamma_bar=1.0))
+        assert f"{value:.12g}" == "0.665873623443"
+        assert cli.main(["gaussian-compare", "--p-grid", f"{a_tie!r},1"]) == 0
+        row = capsys.readouterr().out.splitlines()[-2]
+        assert row.split(",")[1] == "0.665873623443"
+
 
 class TestOutageSeparation:
     def test_endpoints_return_variance(self):
