@@ -90,7 +90,8 @@ class TestUncoded:
         grid = _log_uniform(48, 1500) + [10.0 ** (k / 50) for k in range(-100, 251)]
         grid += [0.25 + k * 7.75 / 2000 for k in range(2001)] + [a_tie]
         for a in grid:
-            value = gs.uncoded_expected_distortion(RayleighSystem(sigma2=1.0, power=a, gamma_bar=1.0))
+            sys_ = RayleighSystem(sigma2=1.0, power=a, gamma_bar=1.0)
+            value = gs.uncoded_expected_distortion(sys_)
             with mpmath.workdps(oracle.DPS):
                 exact = oracle.scaled_e1(1 / mpmath.mpf(a)) / a
             nearest = float(exact)
@@ -99,8 +100,8 @@ class TestUncoded:
                 assert oracle.g12(value) == oracle.g12(nearest), a
             else:
                 assert oracle.ulps(value, exact) <= 2.0, a
-        value = gs.uncoded_expected_distortion(RayleighSystem(sigma2=1.0, power=a_tie, gamma_bar=1.0))
-        assert f"{value:.12g}" == "0.665873623443"
+        tie = RayleighSystem(sigma2=1.0, power=a_tie, gamma_bar=1.0)
+        assert f"{gs.uncoded_expected_distortion(tie):.12g}" == "0.665873623443"
         assert cli.main(["gaussian-compare", "--p-grid", f"{a_tie!r},1"]) == 0
         row = capsys.readouterr().out.splitlines()[-2]
         assert row.split(",")[1] == "0.665873623443"
