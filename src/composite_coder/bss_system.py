@@ -66,8 +66,6 @@ __all__ = [
     "wyner_ziv_rate",
     "wyner_ziv_distortion",
     "broadcast_scheme",
-    "shannon_scheme",
-    "outage_scheme",
     "systematic_scheme_good",
     "systematic_scheme_bad",
     "residue_splitting_scheme",
@@ -361,16 +359,6 @@ def broadcast_scheme(ch: CompositeBsc, beta: float) -> SchemeEvaluation:
     return _layered_point(ch, Scheme.BROADCAST, beta, 0.0)
 
 
-def shannon_scheme(ch: CompositeBsc) -> SchemeEvaluation:
-    """Single-rate code serving both states: broadcast at beta = 0."""
-    return _layered_point(ch, Scheme.SHANNON, _BROADCAST_ENDPOINTS[Scheme.SHANNON], 0.0)
-
-
-def outage_scheme(ch: CompositeBsc) -> SchemeEvaluation:
-    """Good-state-only code, bad state written off: broadcast at beta = 1/2."""
-    return _layered_point(ch, Scheme.OUTAGE, _BROADCAST_ENDPOINTS[Scheme.OUTAGE], 0.0)
-
-
 def residue_splitting_scheme(ch: CompositeBsc, beta: float, rho: float) -> SchemeEvaluation:
     """Broadcast layering with a rho fraction of residue sent uncoded.
 
@@ -623,7 +611,7 @@ def _crossing(hull_a: Sequence[tuple[float, float]], hull_b: Sequence[tuple[floa
 
 
 def expected_distortion_frontier(
-    ch: CompositeBsc, p_grid: Iterable[float], grid: int = 129
+    ch: CompositeBsc, p_grid: Iterable[float], grid: int
 ) -> FrontierResult:
     """Best scheme per bad-state probability, with exact crossover points.
 

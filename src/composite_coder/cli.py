@@ -17,8 +17,12 @@ selfcheck          internal identity and closed-form-versus-numeric checks
 Configuration comes from flags or from a key=value file (--config); flags
 win on conflict.  One table (_READS) gives the keys each command reads, with
 ``mc <experiment>`` a command of its own; a command rejects any other key,
-``selfcheck`` every key.  Resolution rejects the unread keys, then parses and
-range-checks the read ones, then checks the quantities derived from them.
+``selfcheck`` every key.  Another (_KEYS) gives each key's one parser, range
+and default text (_DEFAULT_TEXTS overrides three per command): a flag, a
+--config value and a default are the same text to it, so a bad value is one
+``config error:`` line either way.  Resolution rejects the unread keys, then
+parses and range-checks the read ones into a Namespace (None for the rest),
+then checks the quantities derived from them.
 Identical configurations produce byte-identical output: metadata carries a
 canonical parameter string and its hash, never a timestamp.  The string is
 ``command=``, then ``experiment=`` for mc, then each key of the command's
@@ -55,7 +59,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -80,39 +84,6 @@ _NUMERIC_ERRORS = (
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    experiment: Optional[str] = None
-    alpha1: float = 0.25
-    alpha2: float = 0.45
-    p: float = 0.5
-    b: float = 2.0
-    sigma2: float = 1.0
-    power: float = 1.0
-    gamma_bar: float = 1.0
-    grid: int = 65
-    p_grid: list[float] = field(default_factory=list)
-    out: Optional[str] = None
-    format: str = "csv"
-    seed: int = 12345
-    trials: int = 200
-    blocklength: Optional[int] = None
-
-    def canonical(self) -> str:
-        """The parameter string of the module docstring, from the command's _READS row."""
-        parts = [f"command={self.command}"]
-        name = self.command
-        if self.experiment is not None:
-            parts.append(f"experiment={self.experiment}")
-            name = f"mc {self.experiment}"
-        reads = _READS[name] - {"out"}
-        for key in filter(reads.__contains__, _KEYS):
-            value = getattr(self, key)
-            parts.append(f"{key}={value.spec if key == 'p_grid' else value}")
-        return ";".join(parts)
 
 
 @dataclass(frozen=True)
@@ -270,8 +241,17 @@ def render_json(table: FigureTable) -> str:
     return "".join(parts)
 
 
-def _metadata(cfg: RunConfig, extra: Optional[dict[str, str]] = None) -> dict[str, str]:
-    canonical = cfg.canonical()
+def _metadata(cfg: argparse.Namespace, extra: Optional[dict[str, str]] = None) -> dict[str, str]:
+    # the parameter string of the module docstring, from the command's _READS row
+    parts = [f"command={cfg.command}"]
+    name = cfg.command
+    if cfg.experiment is not None:
+        parts.append(f"experiment={cfg.experiment}")
+        name = f"mc {cfg.experiment}"
+    for key in filter((_READS[name] - {"out"}).__contains__, _KEYS):
+        value = getattr(cfg, key)
+        parts.append(f"{key}={value.spec if key == 'p_grid' else value}")
+    canonical = ";".join(parts)
     meta = {
         "command": cfg.command,
         "parameters": canonical,
@@ -338,7 +318,7 @@ def _parse_grid_spec(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gaussian_compare(cfg: RunConfig) -> FigureTable:
+def cmd_gaussian_compare(cfg: argparse.Namespace) -> FigureTable:
     uncoded: list[object] = []
     outage: list[object] = []
     broadcast: list[object] = []
@@ -355,7 +335,7 @@ def cmd_gaussian_compare(cfg: RunConfig) -> FigureTable:
     )
 
 
-def _bsc(cfg: RunConfig) -> channels.CompositeBsc:
+def _bsc(cfg: argparse.Namespace) -> channels.CompositeBsc:
     return channels.CompositeBsc(alpha1=cfg.alpha1, alpha2=cfg.alpha2, p=cfg.p, b=cfg.b)
 
 
@@ -370,7 +350,7 @@ def _sweep_blocks(sweep: bss_system.LayeredSweep, *cells: Sequence[object]) -> l
     return blocks
 
 
-def cmd_bss_region(cfg: RunConfig) -> FigureTable:
+def cmd_bss_region(cfg: argparse.Namespace) -> FigureTable:
     families = (Scheme.SHANNON, Scheme.OUTAGE, *bss_system.COMPARED_FAMILIES)
     sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, families)
     hull = sweeps[Scheme.RESIDUE_SPLITTING].hull()
@@ -388,7 +368,7 @@ def cmd_bss_region(cfg: RunConfig) -> FigureTable:
     )
 
 
-def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
+def cmd_bss_frontier(cfg: argparse.Namespace) -> FigureTable:
     frontier = bss_system.expected_distortion_frontier(_bsc(cfg), cfg.p_grid, grid=cfg.grid)
     names = [family.value for family in frontier.expected]
     columns = (
@@ -407,7 +387,7 @@ def cmd_bss_frontier(cfg: RunConfig) -> FigureTable:
     )
 
 
-def cmd_bss_interface(cfg: RunConfig) -> FigureTable:
+def cmd_bss_interface(cfg: argparse.Namespace) -> FigureTable:
     sweeps = bss_system.sweep_families(_bsc(cfg), cfg.grid, bss_system.COMPARED_FAMILIES)
     blocks = [b for s in sweeps.values() for b in _sweep_blocks(s, s.kt, s.kr, s.expected)]
     for family, sweep in sweeps.items():
@@ -427,7 +407,7 @@ def _uncoded_gains(gamma_bar: float) -> tuple[float, float, float]:
     return 0.5 * gamma_bar, gamma_bar, 2.0 * gamma_bar
 
 
-def _mc_columns(cfg: RunConfig) -> list[list[object]]:
+def _mc_columns(cfg: argparse.Namespace) -> list[list[object]]:
     """The mc table's columns after the experiment name, one cell per report."""
     from . import montecarlo
 
@@ -492,7 +472,7 @@ def _mc_columns(cfg: RunConfig) -> list[list[object]]:
     return columns
 
 
-def cmd_mc(cfg: RunConfig) -> FigureTable:
+def cmd_mc(cfg: argparse.Namespace) -> FigureTable:
     columns = _mc_columns(cfg)
     return FigureTable(
         columns=[
@@ -621,40 +601,46 @@ def run_selfcheck() -> int:
 # argument handling
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = ("alpha1", "alpha2", "p", "b", "sigma2", "power", "gamma_bar")
-# per configuration key: the parser of its text (a --config value, the
-# --p-grid flag or a default text) and its range, as a test and its wording
+_FLOAT_DEFAULTS = {"alpha1": "0.25", "alpha2": "0.45", "p": "0.5", "b": "2.0",
+                   "sigma2": "1.0", "power": "1.0", "gamma_bar": "1.0"}
+# per configuration key: the parser of its text (a flag, a --config value or
+# a default text), its range as a test and its wording, and its default text
+# (None: no value) where the command has none in _DEFAULT_TEXTS
 _KEYS = {
-    **{key: (float, math.isfinite, "be finite") for key in _FLOAT_KEYS},
-    "grid": (int, lambda v: v >= 2, "be >= 2"),
-    "seed": (int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)"),
-    "trials": (int, lambda v: v >= 1, "be >= 1"),
-    "blocklength": (int, lambda v: v >= 1, "be >= 1"),
-    "p_grid": (_parse_grid_spec, None, ""),  # the parser checks the sweep
-    "out": (str, None, ""),
-    "format": (str, lambda v: v in ("csv", "json"), "be csv or json"),
+    **{key: (float, math.isfinite, "be finite", text) for key, text in _FLOAT_DEFAULTS.items()},
+    "grid": (int, lambda v: v >= 2, "be >= 2", "65"),
+    "seed": (int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)", "12345"),
+    "trials": (int, lambda v: v >= 1, "be >= 1", "200"),
+    "blocklength": (int, lambda v: v >= 1, "be >= 1", None),
+    "p_grid": (_parse_grid_spec, None, "", None),  # the parser checks the sweep
+    "out": (str, None, "", None),
+    "format": (str, lambda v: v in ("csv", "json"), "be csv or json", "csv"),
 }
 _BSC_READS = {"alpha1", "alpha2", "p", "b", "grid", "out", "format"}
 _MC_READS = {"seed", "trials", "blocklength", "out", "format"}
-# the keys each command reads; it rejects any other key, by flag or by --config
+# the keys each command reads; it rejects any other key, by flag or by --config.
+# The parser's command choices and experiment help follow the row order.
 _READS = {
     "gaussian-compare": {"sigma2", "gamma_bar", "p_grid", "out", "format"},
     "bss-region": _BSC_READS,
     "bss-frontier": _BSC_READS | {"p_grid"},
     "bss-interface": _BSC_READS,
-    "selfcheck": set(),
     "mc uncoded-bsc": _MC_READS | {"alpha1"},
     "mc uncoded-gaussian": _MC_READS | {"sigma2", "power", "gamma_bar"},
     "mc quantizer": _MC_READS,
     "mc msvq": _MC_READS,
     "mc superposition": _MC_READS | {"alpha1", "alpha2", "p", "b"},
+    "selfcheck": set(),
 }
-# the text of a read key that is not given, where RunConfig's default does not hold
+# the text of a read key that is not given, where the _KEYS default does not hold
 _DEFAULT_TEXTS = {
     "gaussian-compare": {"p_grid": "0.25:8:20"},
     "bss-frontier": {"p_grid": "0:1:41"},
     "bss-interface": {"p": "0.7"},
 }
+# --help text of the flags that say more than their name
+_FLAG_HELP = {"p_grid": "sweep for the command's x axis: lo:hi:n or v1,v2,...",
+              "out": "output path (default: stdout)"}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -680,20 +666,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="composite-coder",
         description="Composite-channel capacity/distortion tables and Monte Carlo validation.",
     )
-    parser.add_argument("command", choices=[
-        "gaussian-compare", "bss-region", "bss-frontier", "bss-interface", "mc", "selfcheck",
-    ])
+    parser.add_argument("command", choices=list(dict.fromkeys(n.split()[0] for n in _READS)))
+    experiments = [n.split()[1] for n in _READS if n.startswith("mc ")]
     parser.add_argument("experiment", nargs="?", default=None,
-                        help="mc experiment: uncoded-bsc | uncoded-gaussian | quantizer | "
-                             "msvq | superposition")
+                        help="mc experiment: " + " | ".join(experiments))
     parser.add_argument("--config", default=None, help="key=value configuration file")
-    for key, (parse, _, _) in _KEYS.items():
-        if parse in (float, int):
-            parser.add_argument(f"--{key.replace('_', '-')}", type=parse, default=None)
-    parser.add_argument("--p-grid", default=None,
-                        help="sweep for the command's x axis: lo:hi:n or v1,v2,...")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    for key in _KEYS:  # every value is a text that _resolve_config parses
+        parser.add_argument(f"--{key.replace('_', '-')}", help=_FLAG_HELP.get(key),
+                            metavar="{csv,json}" if key == "format" else None)
     return parser
 
 
@@ -715,7 +695,7 @@ def _command_name(args: argparse.Namespace) -> str:
     return f"mc {args.experiment}"
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(_KEYS)
     if unknown:
@@ -729,20 +709,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise ConfigError(f"{name} does not accept {flags}")
 
-    cfg = RunConfig(command=args.command, experiment=args.experiment)
+    # every key the command reads has a value, every other key None
+    cfg = argparse.Namespace(command=args.command, experiment=args.experiment)
     defaults = _DEFAULT_TEXTS.get(name, {})
-    for key, (parse, in_range, must) in _KEYS.items():
-        value = given.get(key, defaults.get(key))
-        if value is None:
-            continue  # RunConfig's default
-        if isinstance(value, str):
-            try:
-                value = parse(value)
-            except specfn.BudgetError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        if in_range and not in_range(value):
+    for key, (parse, in_range, must, default) in _KEYS.items():
+        text = given.get(key, defaults.get(key, default)) if key in reads else None
+        try:
+            value = None if text is None else parse(text)
+        except specfn.BudgetError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r}") from exc
+        if value is not None and in_range and not in_range(value):
             raise ConfigError(f"{key} must {must}, got {value!r}")
         setattr(cfg, key, value)
 
@@ -753,7 +731,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             )
         if cfg.b < 1.0:
             raise ConfigError(f"b must be >= 1, got {cfg.b}")
-        for p in (cfg.p, *cfg.p_grid):
+        for p in (cfg.p, *(cfg.p_grid or ())):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"bad-state probability must lie in [0, 1], got {p}")
     elif "alpha1" in reads and not 0.0 <= cfg.alpha1 <= 1.0:
@@ -783,7 +761,7 @@ _COMMANDS = {
 _EMIT_CHARS = 2**20
 
 
-def _emit(table: FigureTable, cfg: RunConfig) -> None:
+def _emit(table: FigureTable, cfg: argparse.Namespace) -> None:
     text = render_csv(table) if cfg.format == "csv" else render_json(table)
     # written a slice at a time, so no encoded copy of the whole text exists
     pieces = (text[i:i + _EMIT_CHARS] for i in range(0, len(text), _EMIT_CHARS))

@@ -67,7 +67,10 @@ def uncoded_expected_distortion(sys: RayleighSystem) -> float:
     scaling by sigma2 last keeps a sigma2 near the float maximum finite.
     """
     a = sys.snr_scale
-    return sys.sigma2 * (specfn.scaled_exp_integral(1.0 / a) / a)
+    x = 1.0 / a
+    if x == math.inf:  # a below 2^-1024: sigma2 * (1 - a + 2a^2 - ...) rounds to sigma2
+        return sys.sigma2
+    return sys.sigma2 * (specfn.scaled_exp_integral(x) / a)
 
 
 def outage_separation_distortion(sys: RayleighSystem, q: float) -> float:

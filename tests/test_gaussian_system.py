@@ -77,6 +77,12 @@ class TestUncoded:
         strong = RayleighSystem(sigma2=1.0, power=1e6, gamma_bar=1.0)
         assert gs.uncoded_expected_distortion(strong) < 2e-5
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 1e-308, 2.0**-60])
+    def test_variance_at_vanishing_snr(self, a):
+        # 1/a overflows at the two subnormals, where exp(x)*E1(x) of inf gave 0.0
+        sys = RayleighSystem(sigma2=3.0, power=a, gamma_bar=1.0)
+        assert gs.uncoded_expected_distortion(sys) == 3.0
+
     def test_printed_distortion_matches_the_oracle(self, capsys):
         # the tie rule of TestNewtonThreshold's printed-digit test, on
         # exp(1/a) E1(1/a) / a.  At a = 0.6909970498524927 the exact value is
