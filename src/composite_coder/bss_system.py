@@ -44,14 +44,14 @@ one-point mesh.  A sweep holds at most MESH_CAP points; a larger one raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import specfn
 from .channels import CompositeBsc, bsc_bc_rate_region
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING's run-time value, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -103,26 +103,20 @@ COMPARED_FAMILIES = (
     Scheme.SYSTEMATIC_BAD,
 )
 
-@dataclass(frozen=True)
 class SchemeEvaluation:
     """One scheme at one parameter point."""
 
-    scheme: Scheme
-    params: dict[str, float] = field(compare=False)
-    d1: float = field(compare=True)
-    d2: float = field(compare=True)
-    expected: float = field(compare=True)
-    kt: float = field(compare=True)
-    kr: float = field(compare=True)
+    __slots__ = ("scheme", "params", "d1", "d2", "expected", "kt", "kr")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scheme: Scheme, params: dict[str, float], d1: float, d2: float,
+                 expected: float, kt: float, kr: float) -> None:
         # a violated ordering indicates a formula transcription bug upstream
-        if not -1e-12 <= self.d1 <= self.d2 <= 0.5 + 1e-12:
-            raise AssertionError(
-                f"distortions out of order for {self.scheme}: d1={self.d1}, d2={self.d2}"
-            )
-        if self.kt < 0.0 or self.kr < 0.0:
-            raise AssertionError(f"negative interface complexity for {self.scheme}")
+        if not -1e-12 <= d1 <= d2 <= 0.5 + 1e-12:
+            raise AssertionError(f"distortions out of order for {scheme}: d1={d1}, d2={d2}")
+        if kt < 0.0 or kr < 0.0:
+            raise AssertionError(f"negative interface complexity for {scheme}")
+        self.scheme, self.params = scheme, params
+        self.d1, self.d2, self.expected, self.kt, self.kr = d1, d2, expected, kt, kr
 
 
 def _g(d: float, alpha: float) -> float:
@@ -239,7 +233,6 @@ def wyner_ziv_distortion(r: float, alpha: float) -> float:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class LayeredSweep:
     """One scheme family evaluated at the points of its sweep, as a struct of arrays.
 
@@ -250,15 +243,13 @@ class LayeredSweep:
     throughout; the systematic families have neither coordinate, and hold NaN.
     """
 
-    scheme: Scheme
-    beta: np.ndarray
-    rho: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    expected: np.ndarray
-    kt: np.ndarray
-    kr: np.ndarray
-    names: tuple[str, ...]
+    __slots__ = ("scheme", "beta", "rho", "d1", "d2", "expected", "kt", "kr", "names")
+
+    def __init__(self, scheme: Scheme, beta: np.ndarray, rho: np.ndarray, d1: np.ndarray,
+                 d2: np.ndarray, expected: np.ndarray, kt: np.ndarray, kr: np.ndarray,
+                 names: tuple[str, ...]) -> None:
+        self.scheme, self.beta, self.rho, self.names = scheme, beta, rho, names
+        self.d1, self.d2, self.expected, self.kt, self.kr = d1, d2, expected, kt, kr
 
     def param_blocks(self) -> list[tuple[int, object, object]]:
         """beta and rho as table entries, in runs of consecutive points: (count, beta, rho).
@@ -550,22 +541,24 @@ def hull_envelope(hull: Sequence[tuple[float, float]], p: Sequence[float]) -> np
     return out
 
 
-@dataclass(frozen=True)
 class Crossover:
-    scheme_low: Scheme  # best just below p
-    scheme_high: Scheme  # best just above p
-    p: float
+    """Where the best family changes from ``scheme_low`` (just below p) to ``scheme_high``."""
+
+    __slots__ = ("scheme_low", "scheme_high", "p")
+
+    def __init__(self, scheme_low: Scheme, scheme_high: Scheme, p: float) -> None:
+        self.scheme_low, self.scheme_high, self.p = scheme_low, scheme_high, p
 
 
-@dataclass(frozen=True, eq=False)
 class FrontierResult:
     """Per p: each family's best expected distortion, keyed in tie-break
     order, and ``winner``, the best family's position in that order."""
 
-    p: np.ndarray
-    expected: dict[Scheme, np.ndarray]
-    winner: np.ndarray
-    crossovers: list[Crossover]
+    __slots__ = ("p", "expected", "winner", "crossovers")
+
+    def __init__(self, p: np.ndarray, expected: dict[Scheme, np.ndarray], winner: np.ndarray,
+                 crossovers: list[Crossover]) -> None:
+        self.p, self.expected, self.winner, self.crossovers = p, expected, winner, crossovers
 
 
 # The frontier's families in tie-break order: residue splitting contains

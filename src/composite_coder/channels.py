@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import specfn
 
@@ -34,8 +33,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompositeBsc:
+class _Value:
+    """``==``, ``hash`` and a dataclass-style repr over a class's ``__slots__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple[float, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CompositeBsc(_Value):
     """Two-state composite binary symmetric channel.
 
     alpha1, alpha2: crossover probabilities of the good and bad state, with
@@ -48,30 +67,26 @@ class CompositeBsc:
     :mod:`composite_coder.bss_system` targets the lossy regime.
     """
 
-    alpha1: float
-    alpha2: float
-    p: float
-    b: float
+    __slots__ = ("alpha1", "alpha2", "p", "b")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha1 < self.alpha2 < 0.5:
-            raise ValueError(
-                f"need 0 < alpha1 < alpha2 < 1/2, got ({self.alpha1}, {self.alpha2})"
-            )
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"state probability must lie in [0, 1], got {self.p}")
-        if self.b < 1.0:
-            raise ValueError(f"bandwidth ratio must be >= 1, got {self.b}")
-        if self.b * (1.0 - specfn.binary_entropy(self.alpha1)) >= 1.0:
+    def __init__(self, alpha1: float, alpha2: float, p: float, b: float) -> None:
+        if not 0.0 < alpha1 < alpha2 < 0.5:
+            raise ValueError(f"need 0 < alpha1 < alpha2 < 1/2, got ({alpha1}, {alpha2})")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"state probability must lie in [0, 1], got {p}")
+        # written as "not >= 1" so that NaN is rejected too
+        if not b >= 1.0:
+            raise ValueError(f"bandwidth ratio must be >= 1, got {b}")
+        self.alpha1, self.alpha2, self.p, self.b = alpha1, alpha2, p, b
+        if b * (1.0 - specfn.binary_entropy(alpha1)) >= 1.0:
             warnings.warn(
                 "good state supports lossless transmission; the lossy-regime "
                 "analysis assumes b*(1 - h(alpha1)) < 1",
-                stacklevel=3,  # past the dataclass-generated __init__, to the caller
+                stacklevel=2,  # past this __init__, to the line that built the channel
             )
 
 
-@dataclass(frozen=True)
-class RayleighSystem:
+class RayleighSystem(_Value):
     """Gaussian source over a slow Rayleigh-fading unit-noise AWGN channel.
 
     sigma2: source variance (MSE units).
@@ -80,14 +95,13 @@ class RayleighSystem:
         (1/gamma_bar) * exp(-gamma/gamma_bar).
     """
 
-    sigma2: float
-    power: float
-    gamma_bar: float
+    __slots__ = ("sigma2", "power", "gamma_bar")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sigma2: float, power: float, gamma_bar: float) -> None:
         # written as "not > 0" so that NaN is rejected too
-        if not (self.sigma2 > 0.0 and self.power > 0.0 and self.gamma_bar > 0.0):
+        if not (sigma2 > 0.0 and power > 0.0 and gamma_bar > 0.0):
             raise ValueError("sigma2, power and gamma_bar must all be positive")
+        self.sigma2, self.power, self.gamma_bar = sigma2, power, gamma_bar
 
     @property
     def snr_scale(self) -> float:
@@ -95,20 +109,19 @@ class RayleighSystem:
         return self.power * self.gamma_bar
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(_Value):
     """Boundary point of the two-state broadcast region, bits per channel use.
 
     r1 is the refinement rate (decodable in the good state only), r2 the base
     rate (decodable in both states).
     """
 
-    r1: float
-    r2: float
+    __slots__ = ("r1", "r2")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r1 <= 1.0 or not 0.0 <= self.r2 <= 1.0:
-            raise ValueError(f"rates must lie in [0, 1], got ({self.r1}, {self.r2})")
+    def __init__(self, r1: float, r2: float) -> None:
+        if not 0.0 <= r1 <= 1.0 or not 0.0 <= r2 <= 1.0:
+            raise ValueError(f"rates must lie in [0, 1], got ({r1}, {r2})")
+        self.r1, self.r2 = r1, r2
 
 
 def _check_outage(q: float) -> None:

@@ -44,9 +44,14 @@ Exit codes: 0 success, 1 self-check failure, 2 configuration error,
 --p-grid length), 141 standard output closed early (``| head``).
 Warnings print as one ``warning: ...`` line each on stderr.
 
-Importing this module does not import numpy: the ``bss-*`` commands load it
-through the array core of ``bss_system``, ``mc`` with ``montecarlo`` and
-``selfcheck`` for its entropy roundtrip.
+Importing this module loads ``channels``, ``specfn``, ``bss_system`` and
+``gaussian_system`` and, from the standard library, ``argparse`` (with ``re``
+and ``gettext``), ``hashlib`` and ``enum``.  It does not import numpy: the
+``bss-*`` commands load it through the array core of ``bss_system``, ``mc``
+with ``montecarlo`` and ``selfcheck`` for its entropy roundtrip.  Nor does it
+import ``dataclasses``, ``inspect`` or ``typing``: the classes on this path
+are plain classes with ``__slots__``, and annotations are strings.  ``json``
+is imported by ``render_json`` alone, so CSV output never loads it.
 """
 
 from __future__ import annotations
@@ -54,14 +59,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, bss_system, channels, gaussian_system, specfn
 from .bss_system import Scheme
@@ -86,7 +89,6 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Block:
     """``rows`` consecutive rows of a table, one entry per column.
 
@@ -94,55 +96,57 @@ class Block:
     object with ``.tolist``), or else one cell that every row of the block has.
     """
 
-    rows: int
-    entries: tuple[object, ...]
+    __slots__ = ("rows", "entries")
+
+    def __init__(self, rows: int, entries: tuple[object, ...]) -> None:
+        self.rows, self.entries = rows, entries
 
 
 def _is_sequence(entry: object) -> bool:
     return isinstance(entry, list) or hasattr(entry, "tolist")
 
 
-@dataclass
 class FigureTable:
-    columns: list[str]
-    blocks: list[Block]
-    metadata: dict[str, str]
+    __slots__ = ("columns", "blocks", "metadata")
 
-    def __post_init__(self) -> None:
-        for block in self.blocks:
-            if len(block.entries) != len(self.columns) or any(
+    def __init__(self, columns: list[str], blocks: list[Block], metadata: dict[str, str]) -> None:
+        for block in blocks:
+            if len(block.entries) != len(columns) or any(
                 len(entry) != block.rows for entry in block.entries if _is_sequence(entry)
             ):
                 raise AssertionError("block shape does not match the columns and its row count")
+        self.columns, self.blocks, self.metadata = columns, blocks, metadata
 
 
 _CHUNK_ROWS = 2048  # rows rendered at a time, which bounds the token working set
+# json.dumps for JSON tokens, None for CSV ones (render_json alone imports json)
+_Dumps = Callable[[object], str] | None
 
 
-def _json_number(text: str) -> str:
+def _json_number(text: str, dumps: Callable[[object], str]) -> str:
     """JSON token of the float that a ``.12g`` string stands for, as json.dumps spells it."""
     if text.lstrip("-").isdigit():
         return text + ".0"
     value = float(text)
     # NaN is null; json.dumps gives Infinity, and repr where .12g and repr disagree:
     # positional for 1e12 <= |v| < 1e16, fewer digits for subnormals
-    return "null" if math.isnan(value) else json.dumps(value)
+    return "null" if math.isnan(value) else dumps(value)
 
 
-def _float_tokens(values: Sequence[float], as_json: bool) -> list[str]:
+def _float_tokens(values: Sequence[float], dumps: _Dumps) -> list[str]:
     """One ``%``-format pass at ``.12g`` over a list of floats."""
     tokens = (("%.12g\n" * len(values)) % tuple(values)).split("\n")
     tokens.pop()
-    if as_json:
+    if dumps is not None:
         # a .12g string with a point and no exponent is already the shortest repr
-        tokens = [t if "." in t and "e" not in t else _json_number(t) for t in tokens]
+        tokens = [t if "." in t and "e" not in t else _json_number(t, dumps) for t in tokens]
     return tokens
 
 
-def _cell_token(value: object, as_json: bool) -> str:
+def _cell_token(value: object, dumps: _Dumps) -> str:
     """Token of a cell that is not a float: None, a string or an integer."""
-    if as_json:
-        return json.dumps(value)
+    if dumps is not None:
+        return dumps(value)
     if value is None:
         return ""
     text = str(value)
@@ -151,34 +155,34 @@ def _cell_token(value: object, as_json: bool) -> str:
     return text
 
 
-def _mixed_tokens(cells: list[object], as_json: bool) -> list[str]:
+def _mixed_tokens(cells: list[object], dumps: _Dumps) -> list[str]:
     """Tokens of a list of cells of several types; each distinct cell object is formatted once."""
     distinct = dict(zip(map(id, cells), cells))
     floats = [v for v in distinct.values() if isinstance(v, float)]
     others = [v for v in distinct.values() if not isinstance(v, float)]
-    tokens = dict(zip(map(id, floats), _float_tokens(floats, as_json)))
-    tokens.update((id(v), _cell_token(v, as_json)) for v in others)
+    tokens = dict(zip(map(id, floats), _float_tokens(floats, dumps)))
+    tokens.update((id(v), _cell_token(v, dumps)) for v in others)
     return list(map(tokens.__getitem__, map(id, cells)))
 
 
-def _entry_tokens(entry: object, start: int, stop: int, as_json: bool) -> list[str] | str:
+def _entry_tokens(entry: object, start: int, stop: int, dumps: _Dumps) -> list[str] | str:
     """Tokens of rows [start, stop) of a block entry, or the one token of a repeated cell."""
     if isinstance(entry, list):
         cells = entry[start:stop]
         kinds = set(map(type, cells))
         if kinds == {float}:
-            return _float_tokens(cells, as_json)
+            return _float_tokens(cells, dumps)
         if kinds == {int}:
             return list(map(str, cells))  # str and json.dumps spell an int alike
-        return _mixed_tokens(cells, as_json)
+        return _mixed_tokens(cells, dumps)
     if hasattr(entry, "tolist"):
-        return _float_tokens(entry[start:stop].tolist(), as_json)
+        return _float_tokens(entry[start:stop].tolist(), dumps)
     if isinstance(entry, float):
-        return _float_tokens([entry], as_json)[0]
-    return _cell_token(entry, as_json)
+        return _float_tokens([entry], dumps)[0]
+    return _cell_token(entry, dumps)
 
 
-def _chunks(table: FigureTable, as_json: bool, sep: str) -> Iterator[Iterator[str]]:
+def _chunks(table: FigureTable, dumps: _Dumps, sep: str) -> Iterator[Iterator[str]]:
     """Up to _CHUNK_ROWS rows of one block at a time, each row its tokens joined by ``sep``.
 
     A column whose entry is the same object over the same rows as in the
@@ -193,7 +197,7 @@ def _chunks(table: FigureTable, as_json: bool, sep: str) -> Iterator[Iterator[st
             for i, entry in enumerate(block.entries):
                 seen, span, tokens = last[i]
                 if seen is not entry or span != (start, stop):
-                    tokens = _entry_tokens(entry, start, stop, as_json)
+                    tokens = _entry_tokens(entry, start, stop, dumps)
                     last[i] = (entry, (start, stop), tokens)
                 columns.append(repeat(tokens, stop - start) if isinstance(tokens, str) else tokens)
             yield map(sep.join, zip(*columns))
@@ -208,8 +212,8 @@ def render_csv(table: FigureTable) -> str:
     ``""``, is the one difference, and no table has one column).
     """
     parts = [f"# {key}={table.metadata[key]}\r\n" for key in sorted(table.metadata)]
-    parts.append(",".join(_cell_token(c, False) for c in table.columns) + "\r\n")
-    for lines in _chunks(table, False, ","):
+    parts.append(",".join(_cell_token(c, None) for c in table.columns) + "\r\n")
+    for lines in _chunks(table, None, ","):
         parts.append("\r\n".join(lines))
         parts.append("\r\n")
     return "".join(parts)
@@ -222,12 +226,14 @@ def render_json(table: FigureTable) -> str:
     A float cell is its ``.12g``-rounded value in shortest round-trip form,
     NaN and None are ``null`` and ±inf is ``±Infinity``.
     """
+    import json  # here only: CSV, the default, never loads it
+
     columns = ",\n  ".join(map(json.dumps, table.columns))
     parts = ['{\n "columns": ' + (f"[\n  {columns}\n ]" if columns else "[]") + ",\n"]
     if any(block.rows for block in table.blocks):
         parts.append(' "rows": [\n  [\n   ')
         row_sep = "\n  ],\n  [\n   "
-        for i, lines in enumerate(_chunks(table, True, ",\n   ")):
+        for i, lines in enumerate(_chunks(table, json.dumps, ",\n   ")):
             if i:
                 parts.append(row_sep)
             parts.append(row_sep.join(lines))
@@ -241,7 +247,7 @@ def render_json(table: FigureTable) -> str:
     return "".join(parts)
 
 
-def _metadata(cfg: argparse.Namespace, extra: Optional[dict[str, str]] = None) -> dict[str, str]:
+def _metadata(cfg: argparse.Namespace, extra: dict[str, str] | None = None) -> dict[str, str]:
     # the parameter string of the module docstring, from the command's _READS row
     parts = [f"command={cfg.command}"]
     name = cfg.command
@@ -413,10 +419,10 @@ def _mc_columns(cfg: argparse.Namespace) -> list[list[object]]:
 
     columns: list[list[object]] = [[] for _ in range(7)]
 
-    def row(param: str, n: int, report: montecarlo.TrialReport, target: Optional[float],
+    def row(param: str, n: int, report: montecarlo.TrialReport, target: float | None,
             one_sided: bool = False) -> None:
         if target is None:
-            ok: Optional[int] = None
+            ok: int | None = None
         elif one_sided:
             ok = 1 if report.mean >= target - 3.0 * report.half_width_95 else 0
         else:
@@ -677,6 +683,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_negative_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each value flag that a negative number follows joined to it by ``=``.
+
+    argparse reads a token that starts with ``-`` as an option unless it is a
+    plain decimal such as ``-1`` or ``-.5``, so ``--alpha1 -1e-5``, ``--b -inf``
+    and ``--p-grid -1:1:5`` would leave their flag without a value.  Joined,
+    they are checked like ``--alpha1=-1e-5``.  A token joins the flag (or an
+    abbreviation of it) before it when its first ``:``- or ``,``-separated
+    piece reads as a float; any other token, such as a next flag, stays.
+    """
+    flags = ["--config", *("--" + key.replace("_", "-") for key in _KEYS)]
+    out: list[str] = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if (token.startswith("-") and len(last) > 2 and "=" not in last
+                and any(flag.startswith(last) for flag in flags)):
+            try:
+                float(token.partition(":")[0].partition(",")[0])
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{last}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _check_normal(name: str, value: float) -> None:
     if not sys.float_info.min <= value <= sys.float_info.max:
         raise ConfigError(f"{name} = {value!r} is not a positive normal float")
@@ -775,10 +808,10 @@ def _emit(table: FigureTable, cfg: argparse.Namespace) -> None:
         sys.stdout.writelines(pieces)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     with warnings.catch_warnings(record=True) as caught:

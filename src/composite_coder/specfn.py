@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING's run-time value, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -51,6 +51,33 @@ class TestTypes:
         with pytest.raises(ValueError):
             RatePair(r1=0.1, r2=1.2)
 
+    @pytest.mark.parametrize(
+        "kind, values",
+        [(CompositeBsc, {"alpha1": 0.25, "alpha2": 0.45, "p": 0.5, "b": 2.0}),
+         (RatePair, {"r1": 0.25, "r2": 0.5})],
+        ids=["bsc", "rates"],
+    )
+    def test_nan_rejected_in_every_field(self, kind, values):
+        kind(**values)
+        for field in values:
+            with pytest.raises(ValueError):
+                kind(**{**values, field: math.nan})
+
+    @pytest.mark.parametrize("kind, values", [
+        (CompositeBsc, {"alpha1": 0.25, "alpha2": 0.45, "p": 0.5, "b": 2.0}),
+        (RayleighSystem, {"sigma2": 1.0, "power": 2.0, "gamma_bar": 3.0}),
+        (RatePair, {"r1": 0.25, "r2": 0.5}),
+    ], ids=["bsc", "rayleigh", "rates"])
+    def test_value_equality_hash_and_repr(self, kind, values):
+        # built by position or by keyword, the same value
+        a, b = kind(*values.values()), kind(**values)
+        assert a == b and hash(a) == hash(b) and a is not b
+        last = list(values)[-1]
+        assert kind(**{**values, last: values[last] / 2}) != a
+        assert a != tuple(values.values())
+        spelled = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(a) == f"{kind.__name__}({spelled})"
+
 
 class TestRayleighOutage:
     def test_zero_outage_threshold(self):

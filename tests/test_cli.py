@@ -631,6 +631,29 @@ class TestBadValues:
         assert err.startswith("config error: ") and key in err
         assert err.count("\n") == 1 and "usage:" not in err
 
+    @pytest.mark.parametrize("name, flag, text", [
+        ("bss-region", "--alpha1", "-1e-5"),
+        ("bss-interface", "--b", "-inf"),
+        ("bss-frontier", "--p-grid", "-1:1:5"),
+        ("gaussian-compare", "--sigma2", "-Infinity"),
+        ("mc superposition", "--alpha2", "-nan"),
+    ])
+    def test_negative_value_as_its_own_argument(self, name, flag, text, capsys):
+        # argparse takes "-1e-5" for an option; the value reaches the same check as "--flag=-1e-5"
+        parser = cli._build_parser()
+        joined = run_cli([*name.split(), f"{flag}={text}"], capsys)
+        assert run_cli([*name.split(), flag, text], capsys) == joined
+        code, out, err = joined
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert cli._build_parser() is parser
+
+    def test_missing_value_keeps_the_usage_error(self, capsys):
+        code, out, err = run_cli(["bss-region", "--alpha1", "--grid", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: composite-coder ")
+        assert err.endswith("error: argument --alpha1: expected one argument\n")
+
 
 _RECORDED = [name for name in _READS if name != "selfcheck"]
 
@@ -814,6 +837,31 @@ class TestImports:
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_and_csv_output_leave_the_heavy_modules_out(self):
+        # -S: no site module, whose .pth files may import typing on their own
+        src = str(Path(composite_coder.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import contextlib, io, sys\n"
+            "def loaded():\n"
+            "    heavy = ('dataclasses', 'inspect', 'json', 'typing', 'numpy')\n"
+            "    return [name for name in heavy if name in sys.modules]\n"
+            "assert loaded() == [], ('before', loaded())\n"
+            "from composite_coder import cli\n"
+            "assert loaded() == [], ('import', loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['gaussian-compare']) == 0\n"
+            "assert loaded() == [], ('csv', loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert cli.main(['gaussian-compare', '--format', 'json']) == 0\n"
+            "assert out.getvalue().startswith('{') and loaded() == ['json'], loaded()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
