@@ -15,17 +15,21 @@ re-keying the trial's Philox streams and drawing from them, in the order a
 trial run alone draws, into the trial's row of a chunk buffer.  Packing,
 XOR, distances, minima and means then run once per chunk along the rows,
 which gives each trial the same numbers, and each report the same bits, as
-a loop of single trials.  A chunk holds as many trials as keep each of its
-temporaries within _CHUNK_BYTES (256 KiB, 2^15 float64); a trial larger
-than that runs in a chunk of its own and draws its codewords in the blocks
-of a codebook draw.  The superposition code's cloud codebook scan stays per
-trial (ROADMAP item 5): on a 2-vCPU Xeon VM a column-wise scan took 90-144
-against 312-315 us at 20,719 words (m = 256) and 32-35 against 19-28 us at
-1,933, and one call over 64 trials 0.4-0.6 against 4-7.5 us a trial at 144
-words (m = 64).  Bernoulli bits come from raw
-Philox words without forming doubles: numpy's double is
-(raw >> 11) * 2^-53, so for p < 1, ``random() < p`` holds exactly when
-raw < ceil(p * 2^53) << 11, and every double lies below p >= 1.
+a loop of single trials: a trial's draws depend only on its key, so any
+grouping of trials gives the same bits.  A chunk holds as many trials as
+keep what the chunk holds for each (its raw words, its distances to a
+shared codebook, or the packed words of a codebook drawn per trial) within
+_CHUNK_BYTES (256 KiB, 2^15 float64); a trial larger than that runs in a
+chunk of its own.  A codebook drawn per trial counts its packed size, so a
+trial whose raw draws exceed the budget still shares its chunk (387
+superposition base codewords at m = 256: 12 KiB packed, 774 KiB raw): its
+raw words are drawn in blocks of at most _CHUNK_BYTES, each packed before
+the next is drawn.  The superposition code's cloud layer is decoded for
+every trial of a chunk in one nearest-codeword search, one word column at
+a time, in sub-blocks of trials whose temporaries stay within _CHUNK_BYTES.
+Bernoulli bits come from raw Philox words without forming doubles: numpy's
+double is (raw >> 11) * 2^-53, so for p < 1, ``random() < p`` holds exactly
+when raw < ceil(p * 2^53) << 11, and every double lies below p >= 1.
 
 Budgets: a codebook may hold at most CODEBOOK_CAP packed uint64 words
 (128 MiB), an uncoded trial at most BLOCKLENGTH_CAP symbols, and a run at
@@ -201,14 +205,55 @@ def _check_work(trials: int, per_trial_bytes: int) -> None:
 def _fair_words(streams: Callable[[int], np.random.Generator], chunk: range,
                 rows: int, n: int) -> np.ndarray:
     """Each trial's first rows words of n Bernoulli(1/2) bits from its own
-    stream, packed: shape (len(chunk), rows, words)."""
-    if len(chunk) == 1:
-        # a trial alone in its chunk may be large: draw it in codebook blocks
-        return _draw_codebook(streams(chunk[0] + 1), rows, n, 0.5)[None]
-    raw = np.empty((len(chunk), rows, n), dtype=np.uint64)
-    for block, t in zip(raw, chunk):
-        block[...] = streams(t + 1).bit_generator.random_raw((rows, n))
-    return _pack(_bernoulli(raw, 0.5))
+    stream, packed: shape (len(chunk), rows, words).
+
+    The raw words are drawn in blocks of at most _CHUNK_BYTES, each packed
+    into the result before the next is drawn: whole trials to a block while
+    one fits, else one trial's rows in turn.  A chunk sized by its packed
+    words therefore never holds the raw draws of more than one block.
+    """
+    out = np.empty((len(chunk), rows, -(-n // 64)), dtype=np.uint64)
+    block_rows = max(1, _CHUNK_BYTES // (8 * n))
+    if rows > block_rows:
+        for book, t in zip(out, chunk):
+            bitgen = streams(t + 1).bit_generator
+            for lo in range(0, rows, block_rows):
+                hi = min(rows, lo + block_rows)
+                book[lo:hi] = _pack(_bernoulli(bitgen.random_raw((hi - lo, n)), 0.5))
+        return out
+    step = block_rows // rows
+    for lo in range(0, len(chunk), step):
+        hi = min(len(chunk), lo + step)
+        raw = np.empty((hi - lo, rows, n), dtype=np.uint64)
+        for block, t in zip(raw, chunk[lo:hi]):
+            block[...] = streams(t + 1).bit_generator.random_raw((rows, n))
+        out[lo:hi] = _pack(_bernoulli(raw, 0.5))
+    return out
+
+
+def _nearest(book: np.ndarray, words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per packed word of n bits (rows of words), the index of its first
+    nearest codeword in book, and whether another codeword ties with it.
+
+    The distances are summed one word column at a time (XOR, popcount, add)
+    over sub-blocks of the words, so that each temporary stays within
+    _CHUNK_BYTES, or within one column of a book larger than that.
+    """
+    size = len(book)
+    # a distance is at most n, and the codebook cap keeps n below 2^30
+    dtype = np.uint16 if n < 2**16 else np.uint32
+    step = max(1, _CHUNK_BYTES // (8 * size))
+    index = np.empty(len(words), dtype=np.intp)
+    ties = np.empty(len(words), dtype=bool)
+    for lo in range(0, len(words), step):
+        block = words[lo:lo + step]
+        acc = np.bitwise_count(book[:, 0] ^ block[:, 0, None]).astype(dtype)
+        for col in range(1, book.shape[1]):
+            acc += np.bitwise_count(book[:, col] ^ block[:, col, None])
+        at_min = acc == acc.min(axis=1)[:, None]
+        index[lo:lo + len(block)] = at_min.argmax(axis=1)
+        ties[lo:lo + len(block)] = np.count_nonzero(at_min, axis=1) > 1
+    return index, ties
 
 
 def _report(values: np.ndarray, cfg: TrialConfig) -> TrialReport:
@@ -248,16 +293,16 @@ def simulate_uncoded_bsc(cfg: TrialConfig, alpha: float) -> TrialReport:
     _check_work(cfg.trials, 8 * n)
     streams = _stream(cfg.seed, 0)
     values = np.empty(cfg.trials)
-    for chunk in _chunks(cfg.trials, n):
-        flips = np.empty((len(chunk), n), dtype=bool)
-        for row, t in zip(flips, chunk):
+    for chunk in _chunks(cfg.trials, 8 * n):
+        raw = np.empty((len(chunk), n), dtype=np.uint64)
+        for row, t in zip(raw, chunk):
             bitgen = streams(t + 1).bit_generator
             # skip the n-word source word without making it (Philox makes
             # words 4 to a block): received ^ source is the noise word alone
             bitgen.advance(n // 4)
             bitgen.random_raw(n % 4)
-            row[:] = _bernoulli(bitgen.random_raw(n), alpha)
-        values[chunk.start:chunk.stop] = np.count_nonzero(flips, axis=1) / n
+            row[:] = bitgen.random_raw(n)
+        values[chunk.start:chunk.stop] = np.count_nonzero(_bernoulli(raw, alpha), axis=1) / n
     return _report(values, cfg)
 
 
@@ -432,8 +477,9 @@ def simulate_superposition_bc(
     ball_failures = {"bad_u": 0, "good_u": 0, "good_q_tie": 0}
     err_good = np.empty(cfg.trials)
     err_bad = np.empty(cfg.trials)
-    # per trial, the raw words of the base codebook or of the two noise words
-    for chunk in _chunks(cfg.trials, 8 * m * max(size_u, 2)):
+    # per trial, what a chunk keeps: the packed base codebook and the 2m raw
+    # words the two noise words are made from
+    for chunk in _chunks(cfg.trials, 8 * (size_u * -(-m // 64) + 2 * m)):
         k = len(chunk)
         w1 = np.empty(k, dtype=np.intp)
         w2 = np.empty(k, dtype=np.intp)
@@ -465,16 +511,12 @@ def simulate_superposition_bc(
             ball_failures["good_u"] += int(np.count_nonzero(w2_hat < 0))
         wrong = w2_hat != w2  # also every failed base decode
         if size_q > 1:
-            # a failed base decode (w2_hat = -1) strips a word that is never read
-            stripped = z_good ^ books_u[rows, w2_hat]
-            for i in np.flatnonzero(w2_hat >= 0):
-                dist_q = _distances(book_q, stripped[i])
-                nearest = np.flatnonzero(dist_q == dist_q.min())
-                if len(nearest) != 1:
-                    ball_failures["good_q_tie"] += 1
-                    wrong[i] = True
-                elif nearest[0] != w1[i]:
-                    wrong[i] = True
+            # the cloud layer of the trials whose base decode found a word,
+            # all of them in one search
+            live = np.flatnonzero(w2_hat >= 0)
+            nearest, ties = _nearest(book_q, z_good[live] ^ books_u[live, w2_hat[live]], m)
+            ball_failures["good_q_tie"] += int(np.count_nonzero(ties))
+            wrong[live] |= ties | (nearest != w1[live])
         err_good[chunk.start:chunk.stop] = wrong
 
     if any(ball_failures.values()):

@@ -357,6 +357,23 @@ class TestCodebookMemory:
         assert report.trials == 2
         assert peak < 64 * 2**20
 
+    def test_superposition_chunks_stay_small(self):
+        # the bench's largest books: 387 base codewords per trial (12 KiB
+        # packed, 774 KiB as raw words) and 20,719 cloud codewords (647 KiB);
+        # the peak is the cloud draw's 2 MiB block of raw words plus the book
+        ch = CompositeBsc(0.25, 0.35, 0.5, 2.0)
+        boundary = bsc_bc_rate_region(ch, 0.1)
+        rates = RatePair(0.8 * boundary.r1, 0.8 * boundary.r2)
+        assert (mc._codebook_size(rates.r2, 256), mc._codebook_size(rates.r1, 256)) == (387, 20719)
+        mc.simulate_superposition_bc(TrialConfig(256, 1, 4), ch, 0.1, rates)  # lazy imports
+        tracemalloc.start()
+        try:
+            mc.simulate_superposition_bc(TrialConfig(256, 200, 4), ch, 0.1, rates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
 
 # The simulations as they were before chunking: one trial at a time, with
 # float draws (``random() < p``) and one codebook draw per book.  They are
@@ -495,11 +512,35 @@ def _loop_superposition(cfg, ch, beta, rates):
 STEP = 8  # trials per chunk in the oracle tests: counts straddle one and two chunks
 TRIAL_COUNTS = [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1]
 EDGE_PROBABILITIES = [0.0, 1e-300, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]
+# past 2^17 symbols a wrong codeword of a Bernoulli(1/2) cloud book lies
+# about m/2 > 2^16 away, so a 16-bit distance accumulator wraps
+WIDE_M = 139_264
+_CHUNKS = mc._chunks
+
+
+def _chunk_sizes(monkeypatch):
+    """The list to which each run appends the sizes of the chunks it makes."""
+    made = []
+
+    def chunks(trials, per_trial_bytes):
+        ranges = list(_CHUNKS(trials, per_trial_bytes))
+        made.append([len(c) for c in ranges])
+        return ranges
+
+    monkeypatch.setattr(mc, "_chunks", chunks)
+    return made
 
 
 def _chunk_of(monkeypatch, per_trial_bytes):
-    """Make the chunks STEP trials of per_trial_bytes each."""
+    """Make the chunks STEP trials of per_trial_bytes each; returns the
+    chunk sizes of each run, which the test compares with _stepped."""
     monkeypatch.setattr(mc, "_CHUNK_BYTES", STEP * per_trial_bytes)
+    return _chunk_sizes(monkeypatch)
+
+
+def _stepped(trials):
+    """The chunk sizes of a run of trials whose chunks hold STEP trials."""
+    return [STEP] * (trials // STEP) + [trials % STEP] * (trials % STEP > 0)
 
 
 class TestChunkedMatchesLoop:
@@ -529,29 +570,33 @@ class TestChunkedMatchesLoop:
     @pytest.mark.parametrize("n", [1, 63, 65, 100])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_uncoded_bsc(self, n, trials, monkeypatch):
-        _chunk_of(monkeypatch, 8 * n)
+        made = _chunk_of(monkeypatch, 8 * n)
         cfg = TrialConfig(n, trials, 31)
         for alpha in EDGE_PROBABILITIES:
             assert mc.simulate_uncoded_bsc(cfg, alpha) == _loop_uncoded_bsc(cfg, alpha)
+        assert made == [_stepped(trials)] * len(EDGE_PROBABILITIES)
 
     @pytest.mark.parametrize("n", [1, 63, 65, 100])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_uncoded_gaussian(self, n, trials, monkeypatch):
-        _chunk_of(monkeypatch, 8 * n)
+        made = _chunk_of(monkeypatch, 8 * n)
         cfg = TrialConfig(n, trials, 32)
         sys_ = RayleighSystem(0.7, 3.0, 1.5)
         gammas = [0.0, 0.75, 1.5, 3.0]
         assert mc.simulate_uncoded_gaussian(cfg, sys_, gammas) == [
             _loop_uncoded_gaussian(cfg, sys_, g) for g in gammas
         ]
+        assert made == [_stepped(trials)]
 
-    def test_uncoded_gaussian_at_the_default_chunk(self):
+    def test_uncoded_gaussian_at_the_default_chunk(self, monkeypatch):
         # 1000 symbols: 32 trials per chunk
+        made = _chunk_sizes(monkeypatch)
         cfg = TrialConfig(1000, 33, 33)
         sys_ = RayleighSystem(1.0, 1.0, 1.0)
         assert mc.simulate_uncoded_gaussian(cfg, sys_, [0.5, 2.0]) == [
             _loop_uncoded_gaussian(cfg, sys_, g) for g in (0.5, 2.0)
         ]
+        assert made == [[32, 1]]
 
     @pytest.mark.parametrize(
         "n, rate", [(1, 0.5), (8, 1.0), (12, 0.5), (63, 0.1), (65, 0.1), (100, 0.05)]
@@ -559,15 +604,17 @@ class TestChunkedMatchesLoop:
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_random_quantizer(self, n, rate, trials, monkeypatch):
         size = min(mc._codebook_size(rate, n), 2**n)
-        _chunk_of(monkeypatch, max(8 * n, 8 * size * -(-n // 64)))
+        made = _chunk_of(monkeypatch, max(8 * n, 8 * size * -(-n // 64)))
         cfg = TrialConfig(n, trials, 34)
         assert mc.simulate_random_quantizer(cfg, rate) == _loop_random_quantizer(cfg, rate)
+        assert made == [_stepped(trials)]
 
-    def test_random_quantizer_alone_in_its_chunk(self):
+    def test_random_quantizer_alone_in_its_chunk(self, monkeypatch):
         # 2^16 codewords of 32 bits: 512 KiB per trial, above the chunk bound
+        made = _chunk_sizes(monkeypatch)
         cfg = TrialConfig(32, 3, 35)
-        assert [len(c) for c in mc._chunks(3, 8 * 2**16)] == [1, 1, 1]
         assert mc.simulate_random_quantizer(cfg, 0.5) == _loop_random_quantizer(cfg, 0.5)
+        assert made == [[1, 1, 1]]
 
     @pytest.mark.parametrize("n, r2, r1", [(1, 0.5, 0.5), (16, 0.5, 0.25), (63, 0.1, 0.05),
                                            (65, 0.1, 0.05), (100, 0.05, 0.03), (16, 0.5, 0.0)])
@@ -576,26 +623,38 @@ class TestChunkedMatchesLoop:
         words = -(-n // 64)
         size2 = min(mc._codebook_size(r2, n), 2**n)
         size1 = mc._codebook_size(r1, n)
-        _chunk_of(monkeypatch, max(8 * n, 8 * size2 * words, 8 * size1 * words))
+        made = _chunk_of(monkeypatch, max(8 * n, 8 * size2 * words, 8 * size1 * words))
         cfg = TrialConfig(n, trials, 36)
         assert mc.simulate_msvq(cfg, r2, r1) == _loop_msvq(cfg, r2, r1)
+        assert made == [_stepped(trials)]
 
-    @pytest.mark.parametrize("m", [1, 63, 65, 100])
-    @pytest.mark.parametrize("beta", [0.0, 1e-300, 0.1, 0.5])
+    # every beta at four blocklengths; m = 256 at beta = 0.1 draws the bench's
+    # largest codebooks (387 base and 20,719 four-word cloud codewords);
+    # WIDE_M checks the distance accumulator's width
+    @pytest.mark.parametrize("beta, m", [(beta, m) for m in (1, 63, 65, 100)
+                                         for beta in (0.0, 1e-300, 0.1, 0.5)]
+                             + [(0.1, 256), (0.5, WIDE_M)])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_superposition(self, m, beta, trials, monkeypatch, caplog):
-        ch = CompositeBsc(0.25, 0.35, 0.5, 2.0)  # up to 11 base codewords at m = 100
-        boundary = bsc_bc_rate_region(ch, beta)
-        for rates in (RatePair(0.8 * boundary.r1, 0.8 * boundary.r2),
-                      RatePair(0.8 * boundary.r1, 0.0), RatePair(0.0, 0.8 * boundary.r2)):
+        ch = CompositeBsc(0.25, 0.35, 0.5, 2.0)  # up to 39 base codewords at m = 100
+        if m == WIDE_M:
+            # the boundary's cloud book would pass the cap here: two cloud
+            # codewords and one base codeword instead
+            pairs = [RatePair(1.0 / m, 0.0)]
+        else:
+            boundary = bsc_bc_rate_region(ch, beta)
+            pairs = [RatePair(0.8 * boundary.r1, 0.8 * boundary.r2),
+                     RatePair(0.8 * boundary.r1, 0.0), RatePair(0.0, 0.8 * boundary.r2)]
+        for rates in pairs:
             size_u = mc._codebook_size(rates.r2, m)
-            _chunk_of(monkeypatch, 8 * m * max(size_u, 2))
+            made = _chunk_of(monkeypatch, 8 * (size_u * -(-m // 64) + 2 * m))
             cfg = TrialConfig(m, trials, 37)
             caplog.clear()
             with caplog.at_level("DEBUG", logger=mc.log.name):
                 got = mc.simulate_superposition_bc(cfg, ch, beta, rates)
             want, failures = _loop_superposition(cfg, ch, beta, rates)
             assert got == want
+            assert made == [_stepped(trials)]
             logged = [r.args[2] for r in caplog.records]
             expected = {k: v / trials for k, v in failures.items()}
             assert logged == ([expected] if any(failures.values()) else [])
