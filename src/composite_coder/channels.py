@@ -93,6 +93,9 @@ class RayleighSystem(_Value):
     power: transmit power constraint.
     gamma_bar: mean channel power gain; the gain density is
         (1/gamma_bar) * exp(-gamma/gamma_bar).
+
+    The product power * gamma_bar must be a finite positive float (it may be
+    subnormal), since every closed form reads it.
     """
 
     __slots__ = ("sigma2", "power", "gamma_bar")
@@ -101,6 +104,9 @@ class RayleighSystem(_Value):
         # written as "not > 0" so that NaN is rejected too
         if not (sigma2 > 0.0 and power > 0.0 and gamma_bar > 0.0):
             raise ValueError("sigma2, power and gamma_bar must all be positive")
+        a = power * gamma_bar
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"power*gamma_bar overflows or underflows: {power} * {gamma_bar} = {a}")
         self.sigma2, self.power, self.gamma_bar = sigma2, power, gamma_bar
 
     @property
@@ -151,10 +157,16 @@ def optimal_outage_for_capacity(sys: RayleighSystem) -> float:
     """Outage probability maximizing the long-term average rate.
 
     Closed form 1 - exp(-(exp(W(a)) - 1)/a) with a = power * gamma_bar; it
-    agrees with the numeric maximizer of the outage capacity to 1e-6.
+    agrees with the numeric maximizer of the outage capacity to 1e-6.  Up to
+    a = 10 the inner exp(W) - 1 is expm1, which keeps small a from
+    cancelling (the result tends to 1 - 1/e as a -> 0).  Above, where exp
+    would scale W's rounding error by W, (exp(W) - 1)/a is 1/W - 1/a, from
+    exp(W) = a/W.  Either way the result is within a few ulps.
     """
     a = sys.snr_scale
-    return -math.expm1(-(math.exp(specfn.lambert_w(a)) - 1.0) / a)
+    w = specfn.lambert_w(a)
+    y = math.expm1(w) / a if a <= 10.0 else 1.0 / w - 1.0 / a
+    return -math.expm1(-y)
 
 
 def capacity_vs_outage_bsc(ch: CompositeBsc, q: float) -> float:

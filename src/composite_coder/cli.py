@@ -78,11 +78,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the shell's status for a process a closed pipe
 
 SWEEP_CAP = 2**20  # --p-grid points: the row count of a grid-1025 region
 
-_NUMERIC_ERRORS = (
-    specfn.ConvergenceError,
-    ArithmeticError,
-    ValueError,
-)
+_NUMERIC_ERRORS = (ArithmeticError, ValueError)
 
 
 class ConfigError(Exception):
@@ -516,17 +512,15 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     ok = specfn.binary_convolve(0.3, 0.0) == 0.3 and specfn.binary_convolve(0.3, 0.5) == 0.5
     check("convolve-identity-absorbing", ok, "a*0 = a and a*1/2 = 1/2")
 
+    def other_scaled_e1(x: float) -> float:
+        # exp(x) E1(x) by the route that exp_integral and scaled_exp_integral do not take at x
+        return math.exp(x) * specfn._e1_series(x) if x > 1.0 else specfn._scaled_e1_fraction(x)
+
+    xs = [0.5, 0.75, 1.0, 1.5, 2.0]
+    err = max(abs(specfn.exp_integral(x) / (other_scaled_e1(x) * math.exp(-x)) - 1.0) for x in xs)
+    check("exp-integral-routes", err <= 1e-12, f"max rel gap = {err:.2e}")
+
     xs = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-
-    def quad_e1(x: float) -> float:
-        # shift t = x + s so the quadrature stays well scaled for large x
-        return math.exp(-x) * specfn.integrate(
-            lambda s: math.exp(-s) / (x + s), 0.0, math.inf, tol=1e-13
-        )
-
-    err = max(abs(specfn.exp_integral(x) - quad_e1(x)) / specfn.exp_integral(x) for x in xs)
-    check("exp-integral-quadrature", err <= 1e-9, f"max rel error = {err:.2e}")
-
     ok = all(specfn.exp_integral(x) < math.exp(-x) / x for x in xs)
     check("exp-integral-bound", ok, "E1(x) < exp(-x)/x")
 
@@ -559,13 +553,10 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 
     worst = 0.0
     for a in (0.5, 1.0, 2.0, 5.0):
-        sys_ = channels.RayleighSystem(1.0, a, 1.0)
-        closed = gaussian_system.uncoded_expected_distortion(sys_)
-        direct = specfn.integrate(
-            lambda g: math.exp(-g) / (1.0 + a * g), 0.0, math.inf, tol=1e-13
-        )
-        worst = max(worst, abs(closed - direct) / direct)
-    check("uncoded-distortion-quadrature", worst <= 1e-8, f"max rel error = {worst:.2e}")
+        closed = gaussian_system.uncoded_expected_distortion(channels.RayleighSystem(1.0, a, 1.0))
+        # sigma2 x exp(x) E1(x) at x = 1/a, with sigma2 = 1
+        worst = max(worst, abs(closed / (other_scaled_e1(1.0 / a) / a) - 1.0))
+    check("uncoded-distortion-routes", worst <= 1e-12, f"max rel gap = {worst:.2e}")
 
     worst = 0.0
     for alpha in (0.25, 0.45):

@@ -154,12 +154,9 @@ def bc_power_threshold(sys: RayleighSystem) -> float:
     """Gain threshold at which the layered allocation exhausts the power budget.
 
     Solves interference(g) = power for g = x * gamma_bar, where x depends
-    only on a = power*gamma_bar; a product that overflows is rejected.
+    only on a = power*gamma_bar.
     """
-    a = sys.snr_scale
-    if math.isinf(a):
-        raise ValueError(f"power*gamma_bar overflows: {sys.power} * {sys.gamma_bar}")
-    return _threshold_ratio(a) * sys.gamma_bar
+    return _threshold_ratio(sys.snr_scale) * sys.gamma_bar
 
 
 def _distortion_to_go(sys: RayleighSystem, gamma: float) -> float:

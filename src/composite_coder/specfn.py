@@ -1,8 +1,7 @@
 """Scalar special functions and numerical primitives.
 
-Everything here is pure and reentrant: the only module state is
-``integrate``'s node tables, each built once on first use and never changed
-after, so all functions are safe to call concurrently.
+Everything here is pure and reentrant, with no module state, so all
+functions are safe to call concurrently.
 
 Conventions that the rest of the package relies on:
 
@@ -11,7 +10,12 @@ Conventions that the rest of the package relies on:
 - ``exp_integral`` is the decaying exponential integral
   ``int_x^inf exp(-t)/t dt`` (the function usually written E1).  Some texts
   call this Ei with the opposite sign convention; we implement the integral
-  literally to avoid that confusion.
+  literally to avoid that confusion.  E1 has two independent routes, the
+  series ``_e1_series`` and the continued fraction ``_scaled_e1_fraction``;
+  ``exp_integral`` and ``scaled_exp_integral`` each pick one by x, and
+  ``selfcheck`` compares each with the other where both are accurate.
+- ``integrate`` is the double-exponential quadrature that the tests and the
+  benchmark's output checks use as a reference; no package path calls it.
 - The entropy inverse is Newton's method on numpy arrays, so a scalar call
   and an array call run the same arithmetic and agree bit for bit; numpy is
   imported on the first call.
@@ -19,7 +23,6 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 
@@ -64,7 +67,8 @@ _HALF_PI = 0.5 * math.pi
 # a + e^42 or within e^-42 of a.
 _DE_T_MAX = 4.0
 # halvings of the step from 1 before ConvergenceError, after which the sum
-# holds 2^(_DE_LEVELS + 3) + 1 nodes; the package's integrands settle within 5
+# holds 2^(_DE_LEVELS + 3) + 1 nodes; the uncoded-distortion integrand that
+# the tests and the benchmark check against settles within 5
 _DE_LEVELS = 8
 # successive sums this close, relative, agree to rounding
 _DE_REL_FLOOR = 1e-15
@@ -169,18 +173,14 @@ def binary_convolve(a: float, b: float) -> float:
     return a * (1.0 - b) + b * (1.0 - a)
 
 
-def exp_integral(x: float) -> float:
-    """Decaying exponential integral int_x^inf exp(-t)/t dt for x > 0.
+def _e1_series(x: float) -> float:
+    """E1(x) by the alternating series of Abramowitz & Stegun 5.1.11, for x > 0.
 
-    Alternating series up to 1; above that, ``scaled_exp_integral`` times
-    exp(-x), within 4 ulps.  The series terms carry their own sign, and its
-    partial sums lie in [0, x], so the stop test is absolute.  Near 1 the sum
-    cancels against -gamma - ln x, which leaves the series within 18 ulps.
+    E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!).  The terms carry their own
+    sign and the partial sums lie in [0, x], so the stop test is absolute.
+    Near 1 the sum cancels against -gamma - ln x, which leaves it within 18
+    ulps there; above 1 the cancellation grows with x.
     """
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if x > 1.0:
-        return scaled_exp_integral(x) * math.exp(-x)
     total = 0.0
     term = -1.0
     for k in range(1, 80):
@@ -192,27 +192,50 @@ def exp_integral(x: float) -> float:
     return -EULER_GAMMA - math.log(x) + total
 
 
-def scaled_exp_integral(x: float) -> float:
-    """exp(x) * E1(x) for x > 0, finite where E1 itself underflows.
+def _scaled_e1_fraction(x: float) -> float:
+    """exp(x) * E1(x) by the continued fraction of Abramowitz & Stegun 5.1.22, for x > 0.
 
-    At and below 1 it is exp(x) times the series of ``exp_integral``, within
-    14 ulps.  Above 1 it is the continued fraction of Abramowitz & Stegun
-    5.1.22, 1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), evaluated backward
-    from depth n = floor(116/x) + 5, which never forms exp(x) and is within 3
-    ulps.  Cut after the partial denominator x + 2n + 1, the fraction is the
-    (n+1)-point Gauss-Laguerre rule for int_0^inf exp(-t)/(x+t) dt, whose
-    error is int exp(-t) L(t)^2/(x+t) dt / L(-x)^2 with L the Laguerre
-    polynomial of degree n + 1.  That is positive, so the value exceeds
-    1/(x+1), and at most 1/(x L(-x)^2), so the relative truncation error is
-    at most (1 + 1/x)/L(-x)^2.  L(-x) grows with n and x, and the depth rule
-    keeps this bound below 2^-54, under half an ulp, for every x > 1.
+    1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), evaluated backward from
+    depth n = floor(116/x) + 5, which never forms exp(x).  Cut after the
+    partial denominator x + 2n + 1, the fraction is the (n+1)-point
+    Gauss-Laguerre rule for int_0^inf exp(-t)/(x+t) dt, whose error is
+    int exp(-t) L(t)^2/(x+t) dt / L(-x)^2 with L the Laguerre polynomial of
+    degree n + 1.  That is positive, so the value exceeds 1/(x+1), and at
+    most 1/(x L(-x)^2), so the relative truncation error is at most
+    (1 + 1/x)/L(-x)^2.  L(-x) grows with n and x, and the depth rule keeps
+    this bound below 2^-54, under half an ulp, for every x > 1; the depth,
+    and so the cost, grows as 1/x below 1.
     """
-    if not x > 1.0:
-        return math.exp(x) * exp_integral(x)
     t = 0.0
     for k in range(int(116.0 / x) + 5, 0, -1):
         t = k * k / (x + (2 * k + 1) - t)
     return 1.0 / (x + 1.0 - t)
+
+
+def exp_integral(x: float) -> float:
+    """Decaying exponential integral int_x^inf exp(-t)/t dt for x > 0.
+
+    ``_e1_series`` up to 1, within 18 ulps; above 1, ``_scaled_e1_fraction``
+    times exp(-x), within 4 ulps.
+    """
+    if not x > 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+    if x > 1.0:
+        return _scaled_e1_fraction(x) * math.exp(-x)
+    return _e1_series(x)
+
+
+def scaled_exp_integral(x: float) -> float:
+    """exp(x) * E1(x) for x > 0, finite where E1 itself underflows.
+
+    At and below 1 it is exp(x) times ``_e1_series``, within 14 ulps; above
+    1 it is ``_scaled_e1_fraction``, within 3 ulps.
+    """
+    if not x > 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+    if x > 1.0:
+        return _scaled_e1_fraction(x)
+    return math.exp(x) * _e1_series(x)
 
 
 def lambert_w(z: float) -> float:
@@ -221,8 +244,8 @@ def lambert_w(z: float) -> float:
     Above z = 1e300, where exp(w) nears overflow, Newton solves the log form
     w + ln w = ln z instead (Corless et al., Adv. Comput. Math. 5, 1996).
     """
-    if z < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {z}")
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"argument must be finite and nonnegative, got {z}")
     if z == 0.0:
         return 0.0
     if z > 1e300:
@@ -279,25 +302,6 @@ def golden_section(
     return (d, fd) if fd < fc else (c, fc)
 
 
-@functools.cache
-def _de_nodes(level: int, finite: bool) -> tuple[tuple[float, float, float], ...]:
-    """integrate's per-node constants at step h = 2^-level, the new t = k h only.
-
-    With u = (pi/2) sinh t: (e^u cosh u, cosh t, cosh^2 u) for tanh-sinh and
-    (e^u, e^-u, (pi/2) cosh t) for exp-sinh.  They depend on the level alone,
-    so each table is built on first use and shared by every later call.
-    """
-    h = 0.5**level
-    rows = []
-    for k in range(1, int(_DE_T_MAX / h) + 1, 2 if level else 1):
-        t = k * h
-        e = math.exp(_HALF_PI * math.sinh(t))
-        cu = 0.5 * (e + 1.0 / e)
-        ct = math.cosh(t)
-        rows.append((e * cu, ct, cu * cu) if finite else (e, 1.0 / e, _HALF_PI * ct))
-    return tuple(rows)
-
-
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -315,15 +319,13 @@ def integrate(
     - exp-sinh on [a, inf), with nodes a + e^u and a + e^-u and weights
       (pi/2) cosh t times the same e^u and e^-u.
 
-    The step halves from 1, adding the new nodes to the sum so far (their
-    constants come from ``_de_nodes``, tabulated per level on first use), until
-    two successive sums differ by at most max(tol, _DE_REL_FLOOR * |sum|).
-    Nodes come within 1e-37 d of an endpoint at 0, so f may have an
-    integrable singularity of order up to 1/2 there; at any other finite
-    endpoint the nearest nodes round onto it, so f must be finite there.  On
-    [a, inf) f must be bounded near a and decay fast enough for its tail
-    past a + e^42 to vanish.  Raises ConvergenceError after _DE_LEVELS = 8
-    halvings.
+    The step halves from 1, adding the new nodes to the sum so far, until two
+    successive sums differ by at most max(tol, _DE_REL_FLOOR * |sum|).  Nodes
+    come within 1e-37 d of an endpoint at 0, so f may have an integrable
+    singularity of order up to 1/2 there; at any other finite endpoint the
+    nearest nodes round onto it, so f must be finite there.  On [a, inf) f
+    must be bounded near a and decay fast enough for its tail past a + e^42
+    to vanish.  Raises ConvergenceError after _DE_LEVELS = 8 halvings.
     """
     if b == -math.inf or a == -math.inf:
         raise ValueError("lower-unbounded ranges are not supported")
@@ -331,26 +333,31 @@ def integrate(
         return 0.0
     if a > b:
         return -integrate(f, b, a, tol=tol)
-    finite = not math.isinf(b)
-    if finite:
+    if math.isinf(b):
+        center = f(a + 1.0) * _HALF_PI
+
+        def pair(t: float) -> float:
+            e = math.exp(_HALF_PI * math.sinh(t))
+            return (f(a + e) * e + f(a + 1.0 / e) / e) * (_HALF_PI * math.cosh(t))
+
+    else:
         d = 0.5 * (b - a)
         hd = _HALF_PI * d
         center = f(a + d) * hd
-    else:
-        center = f(a + 1.0) * _HALF_PI
-    total, estimate, h = center, math.nan, 1.0
-    for level in range(_DE_LEVELS + 1):
-        nodes = _de_nodes(level, finite)
-        if finite:
-            total += sum(
-                (f(a + (delta := d / ec)) + f(b - delta)) * (hd * ct / c2) for ec, ct, c2 in nodes
-            )
-        else:
-            total += sum((f(a + e) * e + f(a + ie) / e) * w for e, ie, w in nodes)
+
+        def pair(t: float) -> float:
+            e = math.exp(_HALF_PI * math.sinh(t))
+            cu = 0.5 * (e + 1.0 / e)
+            delta = d / (e * cu)
+            return (f(a + delta) + f(b - delta)) * (hd * math.cosh(t) / (cu * cu))
+
+    total, estimate, h, stride = center, math.nan, 1.0, 1
+    for _ in range(_DE_LEVELS + 1):
+        total += sum(pair(k * h) for k in range(1, int(_DE_T_MAX / h) + 1, stride))
         value = h * total
         if abs(value - estimate) <= max(tol, _DE_REL_FLOOR * abs(value)):
             return value
-        estimate, h = value, 0.5 * h
+        estimate, h, stride = value, 0.5 * h, 2
     raise ConvergenceError(f"double-exponential quadrature did not settle in {_DE_LEVELS} halvings")
 
 

@@ -1,6 +1,7 @@
 """Tests for channel models and capacity metrics."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,6 +39,16 @@ class TestTypes:
     def test_rayleigh_validation(self):
         with pytest.raises(ValueError):
             RayleighSystem(sigma2=0.0, power=1.0, gamma_bar=1.0)
+
+    @pytest.mark.parametrize(
+        "power, gamma_bar",
+        [(1e308, 10.0), (10.0, 1e308), (math.inf, 1.0), (1e-200, 1e-200), (5e-324, 0.5)],
+    )
+    def test_rayleigh_rejects_a_product_outside_the_floats(self, power, gamma_bar):
+        # an overflowing product once gave NaN outage probabilities, and one that
+        # underflows to 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match=r"power\*gamma_bar"):
+            RayleighSystem(sigma2=1.0, power=power, gamma_bar=gamma_bar)
 
     @pytest.mark.parametrize("field", ["sigma2", "power", "gamma_bar"])
     def test_rayleigh_rejects_nan(self, field):
@@ -124,6 +135,24 @@ class TestOptimalOutageForCapacity:
             w = 0.5 * (w + math.log(1.0 / w))
         expected = 1.0 - math.exp(-(math.exp(w) - 1.0))
         assert channels.optimal_outage_for_capacity(UNIT) == pytest.approx(expected, abs=1e-9)
+
+    def test_within_3_ulps_of_mpmath(self):
+        # exp(W(a)) - 1 once cancelled at small a (0.0 at a = 1e-20, 5.2e-5
+        # relative error at 1e-12), and exp scales W's rounding by W at large
+        # a (495 ulps near 1e300).  Now the worst of 47,000 a, log-uniform in
+        # [1e-300, 1e300] and in [1e-3, 1e5], was 2.53 ulps, at a = 4.11
+        mpmath = pytest.importorskip("mpmath")
+        oracle = pytest.importorskip("mp_oracle")
+        rng = random.Random(52)
+        scales = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2000)]
+        scales += [10.0 ** rng.uniform(-3.0, 5.0) for _ in range(1000)]
+        scales += [1e-20, 1e-12, 1e-8, 1e-4, 10.0, math.nextafter(10.0, 11.0), 5e-324]
+        for a in scales:
+            with mpmath.workdps(oracle.DPS):
+                w = mpmath.lambertw(mpmath.mpf(a)).real
+                exact = -mpmath.expm1(-mpmath.expm1(w) / a)
+            value = channels.optimal_outage_for_capacity(RayleighSystem(1.0, a, 1.0))
+            assert oracle.ulps(value, exact) <= 3.0, a
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 5.0])
     def test_matches_numeric_maximizer(self, scale):

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import composite_coder
-from composite_coder import bss_system, channels, cli, specfn
+from composite_coder import bss_system, channels, cli, gaussian_system, specfn
 from test_specfn import inverse_binary_entropy
 
 
@@ -827,9 +827,8 @@ class TestImports:
         env = {**os.environ, "PYTHONPATH": src}
         script = (
             "import contextlib, io, sys\n"
-            "from composite_coder import cli, specfn\n"
+            "from composite_coder import cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
-            "assert specfn._de_nodes.cache_info().currsize == 0, 'node table at import'\n"
             "assert cli._build_parser.cache_info().currsize == 0, 'parser at import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['gaussian-compare']) == 0\n"
@@ -1071,6 +1070,25 @@ class TestSelfcheck:
         assert "  FAIL  " in line
         assert out.splitlines()[-1] == "12 checks, 1 failures"
 
+    @pytest.mark.parametrize(
+        "module, name, line",
+        [
+            (specfn, "exp_integral", "exp-integral-routes"),
+            (gaussian_system, "uncoded_expected_distortion", "uncoded-distortion-routes"),
+        ],
+    )
+    def test_route_check_fails_on_a_1e9_error(self, module, name, line, capsys, monkeypatch):
+        # each E1 line compares one public value with the other route, so an
+        # error of 1e-9 fails that line alone: the routes agree to about 5e-15
+        exact = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: exact(*args) * (1.0 + 1e-9))
+        code, out, _ = run_cli(["selfcheck"], capsys)
+        assert code == cli.EXIT_SELFCHECK
+        lines = out.splitlines()
+        assert [l.split()[0] for l in lines if "  FAIL  " in l] == [line]
+        assert sum("  PASS  " in l for l in lines) == 11
+        assert lines[-1] == "12 checks, 1 failures"
+
 
 # sha256 of stdout of every bss-* table, re-recorded when the distortion-rate
 # inverse became Newton's method, after its 50-digit mpmath tests passed; the
@@ -1119,13 +1137,15 @@ _PINNED_BENCH_SIZE_SHA256 = {
 
 # sha256 of stdout of the Gaussian tables and the self-check report; the
 # self-check's was re-recorded when its quadrature became double-exponential
-# and its outage checks golden section, which moved four detail lines; the
-# tables' moved with the parameter string (see above)
+# and its outage checks golden section, which moved four detail lines, and
+# again when its two quadrature lines became the E1 route checks
+# exp-integral-routes and uncoded-distortion-routes; the tables' moved with
+# the parameter string (see above)
 _PINNED_GAUSSIAN_SHA256 = {
     "gaussian-compare": "5fed6844a12d1a36e63e9669a6d339d8cc0c87ff57033f51085e790920184491",
     "gaussian-compare --p-grid 0.01,0.1,1,10,100,1000,1e4,1e5":
         "344bc33527a13e20ae6e60b27d37c700f5162bc5a94381b1fe0e3341b52048ec",
-    "selfcheck": "d69d63945b42c69643f49dc97aa92c061d2bfac63a04670fb7ef1ae0438c9d09",
+    "selfcheck": "2496d0436dd1e2306bc6751dd89ae8e0f29fa4f6650541a8a218d40fffdbf4d5",
 }
 
 

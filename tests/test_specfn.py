@@ -233,6 +233,29 @@ class TestExpIntegral:
                 exact = mpmath.e1(x)
             assert oracle.ulps(specfn.exp_integral(x), exact) <= (4.0 if x > 1.0 else 18.0), x
 
+    def test_routes_agree_where_both_are_accurate(self):
+        # the series and the fraction are independent; on [0.2, 2] they agree
+        # to 1.6e-14 relative (at x = 1.8875), which selfcheck's 1e-12 bounds
+        for k in range(1, 2001):
+            x = 0.2 + k * 1.8 / 2000
+            fraction = specfn._scaled_e1_fraction(x) * math.exp(-x)
+            assert specfn._e1_series(x) == pytest.approx(fraction, rel=1e-13, abs=0.0), x
+
+    def test_public_functions_do_not_call_each_other(self, monkeypatch):
+        # each takes one route, so breaking one leaves the other's values
+        xs = [0.25, 1.0, 1.5, 30.0]
+        plain = [specfn.exp_integral(x) for x in xs]
+        scaled = [specfn.scaled_exp_integral(x) for x in xs]
+
+        def broken(x):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(specfn, "exp_integral", broken)
+        assert [specfn.scaled_exp_integral(x) for x in xs] == scaled
+        monkeypatch.undo()
+        monkeypatch.setattr(specfn, "scaled_exp_integral", broken)
+        assert [specfn.exp_integral(x) for x in xs] == plain
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfn.exp_integral(0.0)
@@ -368,8 +391,10 @@ class TestLambertW:
             assert abs(specfn.lambert_w(z) / exact - 1) <= 1e-15, z
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            specfn.lambert_w(-0.5)
+        # NaN once ran all 200 Halley steps and returned NaN, as inf did
+        for z in (-0.5, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                specfn.lambert_w(z)
 
 
 class TestMinimizeScalar:
@@ -504,93 +529,6 @@ class TestIntegrate:
     def test_lower_unbounded_rejected(self, a, b):
         with pytest.raises(ValueError):
             specfn.integrate(math.exp, a, b)
-
-
-def _integrate_per_node(f, a, b, tol):
-    """``specfn.integrate`` before its node tables: each node's constants formed per call."""
-    if math.isinf(b):
-        center = f(a + 1.0) * specfn._HALF_PI
-
-        def pair(t):
-            e = math.exp(specfn._HALF_PI * math.sinh(t))
-            return (f(a + e) * e + f(a + 1.0 / e) / e) * (specfn._HALF_PI * math.cosh(t))
-
-    else:
-        d = 0.5 * (b - a)
-        center = f(a + d) * (specfn._HALF_PI * d)
-
-        def pair(t):
-            eu = math.exp(specfn._HALF_PI * math.sinh(t))
-            cu = 0.5 * (eu + 1.0 / eu)
-            delta = d / (eu * cu)
-            return (f(a + delta) + f(b - delta)) * (specfn._HALF_PI * d * math.cosh(t) / (cu * cu))
-
-    total, estimate, h, stride = center, math.nan, 1.0, 1
-    for _ in range(specfn._DE_LEVELS + 1):
-        total += sum(pair(k * h) for k in range(1, int(specfn._DE_T_MAX / h) + 1, stride))
-        value = h * total
-        if abs(value - estimate) <= max(tol, specfn._DE_REL_FLOOR * abs(value)):
-            return value
-        estimate, h, stride = value, 0.5 * h, 2
-    raise specfn.ConvergenceError("no settle")
-
-
-def _smooth_integrands(rng, finite, count):
-    """Seeded smooth integrands with their ranges: finite [a, b], or [a, inf) with a in [0, 10]."""
-    for _ in range(count):
-        c, k, w = rng.uniform(0.0, 0.9), rng.uniform(0.2, 3.0), rng.uniform(0.1, 6.0)
-        if finite:
-            a = rng.uniform(-5.0, 5.0)
-            b = a + 10.0 ** rng.uniform(-3.0, 1.0)
-            f = rng.choice([
-                lambda x, k=k, w=w: math.exp(k * math.sin(w * x)),
-                lambda x, c=c, k=k: c + k * x - c * x * x,
-                lambda x, c=c, w=w: 1.0 / (1.0 + w * (x - c) ** 2),
-                lambda x, k=k, w=w: math.cos(w * x + k) * math.exp(-k * x * x / 10.0),
-            ])
-        else:
-            a = rng.uniform(0.0, 10.0)
-            b = math.inf
-            f = rng.choice([
-                lambda x, c=c, k=k, w=w: math.exp(-k * x) * (1.0 + c * math.sin(w * x)),
-                lambda x, c=c, k=k: math.exp(-k * x) / (c + 0.1 + x),
-                lambda x, a=a, k=k: math.exp(-k * (x - a) ** 2),
-                lambda x, k=k, w=w: x ** (w / 2.0) * math.exp(-k * x),
-            ])
-        yield f, a, b
-
-
-def _traced_integral(integral, f, a, b, tol):
-    """(value or exception type, the abscissas f was called at, in order)."""
-    nodes = []
-
-    def traced(x):
-        nodes.append(x)
-        return f(x)
-
-    try:
-        return integral(traced, a, b, tol), nodes
-    except specfn.ConvergenceError:
-        return specfn.ConvergenceError, nodes
-
-
-class TestIntegrateNodeTables:
-    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-    @pytest.mark.parametrize("finite", [True, False], ids=["tanh-sinh", "exp-sinh"])
-    def test_same_bits_as_per_node_constants(self, finite, tol):
-        rng = random.Random(3901 + finite)
-        for f, a, b in _smooth_integrands(rng, finite, 60):
-            expected = _traced_integral(_integrate_per_node, f, a, b, tol)
-            assert not isinstance(expected[0], float) or math.isfinite(expected[0])
-            # the first call may build a level's table, the second reads it
-            for _ in range(2):
-                assert _traced_integral(specfn.integrate, f, a, b, tol) == expected, (a, b)
-
-    def test_tables_hold_each_level_once(self):
-        specfn.integrate(lambda x: math.exp(-x), 0.0, math.inf, tol=0.0)
-        levels = [specfn._de_nodes(level, False) for level in range(specfn._DE_LEVELS + 1)]
-        assert [len(nodes) for nodes in levels] == [4] + [2 ** (level + 1) for level in range(1, 9)]
-        assert all(specfn._de_nodes(i, False) is nodes for i, nodes in enumerate(levels))
 
 
 def _is_convex_chain(hull):
